@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .functional import (
@@ -191,20 +191,6 @@ def _row_from(value: float, res: MinimizeResult, lam_as, runtime: float) -> Swee
     )
 
 
-def _opts_with(opts: SolveOptions, **kw) -> SolveOptions:
-    base = {
-        "max_iters": opts.max_iters,
-        "grad_tol": opts.grad_tol,
-        "constraint_tol": opts.constraint_tol,
-        "n_starts": opts.n_starts,
-        "seed": opts.seed,
-        "init": opts.init,
-        "subspace": opts.subspace,
-    }
-    base.update(kw)
-    return SolveOptions(**base)
-
-
 def _estimate_grid_tol(spec: SweepSpec, rows_done: dict, value: float) -> float:
     """Gap between one representative row and its one-step refinement; the
     significance threshold for the strict inequalities the sweep reports."""
@@ -212,7 +198,7 @@ def _estimate_grid_tol(spec: SweepSpec, rows_done: dict, value: float) -> float:
     n_r, n_a = spec.grid_for(value)
     coarse = rows_done[value]
     fine_grid = build_polar_grid(spec.domain, 2 * n_r, 2 * n_a)
-    res = minimize(params, fine_grid, _opts_with(spec.opts, n_starts=1))
+    res = minimize(params, fine_grid, replace(spec.opts, n_starts=1))
     return max(abs(res.lam - coarse), 1e-9)
 
 
@@ -247,7 +233,7 @@ def run_sweep_theta(spec: SweepSpec) -> tuple[list, dict]:
         params = spec.params_at(value)
         n_r, n_a = spec.grid_for(value)
         grid = build_polar_grid(spec.domain, n_r, n_a)
-        opts = spec.opts if warm is None else _opts_with(spec.opts, init=warm)
+        opts = spec.opts if warm is None else replace(spec.opts, init=warm)
         t0 = time.perf_counter()
         res = minimize(params, grid, opts)
         _validate_result(params, grid, res)
@@ -308,16 +294,16 @@ def run_sweep_p(spec: SweepSpec) -> tuple[list, dict]:
         t0 = time.perf_counter()
         as_opts = spec.opts
         if warm_as is not None and warm_as.grid.key() == grid.key():
-            as_opts = _opts_with(spec.opts, init=warm_as)
+            as_opts = replace(spec.opts, init=warm_as)
         res_as = minimize_antisymmetric(params, grid, as_opts)
         warm_as = res_as.u
         competitor = build_half_support_competitor(res_as.u, grid, params)
         competitor_objectives[value] = eval_objective(params, grid, competitor)
         full_opts = spec.opts
         if warm_full is not None and warm_full.grid.key() == grid.key():
-            full_opts = _opts_with(spec.opts, init=warm_full)
+            full_opts = replace(spec.opts, init=warm_full)
         res_full = minimize(params, grid, full_opts)
-        res_comp = minimize(params, grid, _opts_with(spec.opts, init=competitor, n_starts=1))
+        res_comp = minimize(params, grid, replace(spec.opts, init=competitor, n_starts=1))
         if res_comp.converged and (not res_full.converged or res_comp.lam < res_full.lam):
             res_full = res_comp
         warm_full = res_full.u

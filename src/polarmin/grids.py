@@ -15,7 +15,6 @@ from typing import Callable, Literal
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "RadialDomain",
@@ -195,9 +194,91 @@ class PolarGrid:
 
     @cached_property
     def h1_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Factorized solver for (W + A), the discrete H1 metric."""
-        mat = (sp.diags(self.w.ravel()) + self.stiffness).tocsc()
-        return spla.factorized(mat)
+        """Exact solver for (W + A), the discrete H1 metric.
+
+        The operator commutes with rotation by one angular cell, so an
+        angular DFT splits it into one SPD pentadiagonal radial system per
+        Fourier mode (on the disk the pole coupling contributes (-1)^m).
+        Each is factored once by a banded Cholesky.  The returned callable
+        takes a vector of length n_nodes or an (n_nodes, k) array of
+        columns and returns the solution in the same shape.
+        """
+        inv, l1, l2 = _banded_cholesky(*_radial_bands(self))
+        n_r, n_a = self.n_r, self.n_a
+        # substitution coefficients with the pivot division folded in
+        fwd1, fwd2 = list(l1[:n_r] * inv), list(l2[:n_r] * inv)
+        bwd1, bwd2 = list(l1[1 : n_r + 1] * inv), list(l2[2:] * inv)
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            cols = b.reshape(self.n_nodes, -1).T
+            k = cols.shape[0]
+            spec = np.fft.rfft(cols.reshape(k, n_r, n_a), axis=2)
+            # ring i at y[i + 2], two zero rings of padding at each end; the
+            # real view puts (column, re/im) last so each ring row is one
+            # real (n_modes, 2k) block scaled per mode
+            y = np.zeros((n_r + 4, n_a // 2 + 1, k), dtype=complex)
+            y[2:-2] = spec.transpose(1, 2, 0) * inv
+            rows = list(y.view(float))
+            tmp = np.empty_like(rows[0])
+            for i in range(n_r):
+                yi = rows[i + 2]
+                np.subtract(yi, np.multiply(fwd1[i], rows[i + 1], out=tmp), out=yi)
+                np.subtract(yi, np.multiply(fwd2[i], rows[i], out=tmp), out=yi)
+            y[2:-2] *= inv
+            for i in range(n_r - 1, -1, -1):
+                xi = rows[i + 2]
+                np.subtract(xi, np.multiply(bwd1[i], rows[i + 3], out=tmp), out=xi)
+                np.subtract(xi, np.multiply(bwd2[i], rows[i + 4], out=tmp), out=xi)
+            x = np.fft.irfft(y[2:-2].transpose(2, 0, 1), n=n_a, axis=2)
+            return x.reshape(k, self.n_nodes).T.reshape(b.shape)
+
+        return solve
+
+
+def _radial_bands(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-mode radial bands of (W + A), read off its rows at angle index 0.
+
+    Entry (i, i') of the mode-m radial matrix is
+    sum_d c_{ii'}[d] cos(2 pi m d / n_a), where c_{ii'}[d] couples node
+    (i, 0) to node (i', d); the sine part must vanish.  Returns the diagonal
+    and the first and second superdiagonals, each (n_r, n_a // 2 + 1), with
+    entries past the last ring zero.
+    """
+    n_r, n_a = grid.n_r, grid.n_a
+    mat = (sp.diags(grid.w.ravel()) + grid.stiffness).tocsr()
+    rows = mat[np.arange(n_r) * n_a].tocoo()
+    offset = rows.col // n_a - rows.row
+    if np.any(np.abs(offset) > 2):
+        raise ValueError("H1 metric couples rings more than two apart")
+    coef = np.zeros((n_r, 5, n_a))
+    np.add.at(coef, (rows.row, offset + 2, rows.col % n_a), rows.data)
+    symbol = np.fft.rfft(coef, axis=2)
+    if np.max(np.abs(symbol.imag)) > 1e-12 * np.max(np.abs(coef)):
+        raise ValueError("H1 metric symbol is not real: operator not reflection invariant")
+    bands = symbol.real
+    return bands[:, 2], bands[:, 3], bands[:, 4]
+
+
+def _banded_cholesky(a0, a1, a2):
+    """Cholesky factors L of the pentadiagonal SPD matrices with diagonal
+    a0[i], superdiagonals a1[i] = B[i, i+1] and a2[i] = B[i, i+2], for every
+    trailing column at once.  Returns 1/L[i, i], and L[i, i-1], L[i, i-2]
+    zero-padded to n_r + 2 rows so the substitutions need no edge cases.
+    Each returned array carries a trailing unit axis for broadcasting."""
+    n_r = a0.shape[0]
+    l0 = np.empty_like(a0)
+    l1 = np.zeros((n_r + 2,) + a0.shape[1:])
+    l2 = np.zeros((n_r + 2,) + a0.shape[1:])
+    for i in range(n_r):
+        if i >= 2:
+            l2[i] = a2[i - 2] / l0[i - 2]
+        if i >= 1:
+            l1[i] = (a1[i - 1] - l2[i] * l1[i - 1]) / l0[i - 1]
+        pivot = a0[i] - l1[i] ** 2 - l2[i] ** 2
+        if np.any(pivot <= 0.0):
+            raise ValueError("H1 metric is not positive definite")
+        l0[i] = np.sqrt(pivot)
+    return (1.0 / l0)[..., None], l1[..., None], l2[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,22 +329,6 @@ def integrate(grid: PolarGrid, f: Field) -> float:
     return float(np.sum(grid.w * f.values))
 
 
-def _antipode(row: np.ndarray, n_a: int) -> np.ndarray:
-    return np.roll(row, -(n_a // 2))
-
-
-def _radial_deriv_values(grid: PolarGrid, F: np.ndarray) -> np.ndarray:
-    dr = grid.delta_r
-    out = np.empty_like(F)
-    out[1:-1] = (F[2:] - F[:-2]) / (2.0 * dr)
-    out[-1] = (F[-1] - F[-2]) / dr
-    if grid.domain.kind == "disk":
-        out[0] = (F[1] - _antipode(F[0], grid.n_a)) / (2.0 * dr)
-    else:
-        out[0] = (F[1] - F[0]) / dr
-    return out
-
-
 def grad_sq(grid: PolarGrid, f: Field) -> Field:
     """Pointwise squared gradient (d_r f)^2 + (d_a f)^2 / r^2.
 
@@ -275,7 +340,7 @@ def grad_sq(grid: PolarGrid, f: Field) -> Field:
     exact discrete Dirichlet energy.
     """
     F = f.values
-    dradial = _radial_deriv_values(grid, F)
+    dradial = (grid._radial_diff @ F.ravel()).reshape(grid.shape)
     dfwd = (np.roll(F, -1, axis=1) - F) / (grid.r_nodes[:, None] * grid.delta_a)
     gsq = dradial**2 + 0.5 * (dfwd**2 + np.roll(dfwd, 1, axis=1) ** 2)
     return Field(grid, gsq)

@@ -20,6 +20,7 @@ from scipy.spatial import cKDTree
 from .grids import (
     Field,
     PolarGrid,
+    _half_units,
     reflect_field,
     reflection_index_map,
     rotate_field,
@@ -68,18 +69,6 @@ def grid_half_planes(grid: PolarGrid, count: int | None = None) -> list[HalfPlan
     stride = grid.n_a // n
     da = grid.delta_a
     return [HalfPlane((k * stride + 0.5) * da) for k in range(n)]
-
-
-def _half_units(grid: PolarGrid, angle: float) -> int:
-    step = grid.delta_a / 2.0
-    k = angle / step
-    k_round = round(k)
-    if abs(k - k_round) > 1e-9:
-        raise ValueError(
-            "half-plane normal is not a multiple of half the angular "
-            "spacing; the reflection would not map nodes to nodes"
-        )
-    return int(k_round) % (2 * grid.n_a)
 
 
 def _side_of(grid: PolarGrid, h: HalfPlane) -> np.ndarray:

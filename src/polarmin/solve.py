@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -254,9 +254,8 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
             g_obj -= w * g_term(r_col, u, params) * pp
         g_c1 = w * pp
         g_c2 = w * signed_power(u, p, delta) * pp
-        z_obj = solve(g_obj.ravel())
-        z_c1 = solve(g_c1.ravel())
-        z_c2 = solve(g_c2.ravel())
+        rhs = np.stack([g_obj.ravel(), g_c1.ravel(), g_c2.ravel()], axis=1)
+        z_obj, z_c1, z_c2 = solve(rhs).T
         # least-squares duals: remove the constraint components from the
         # gradient in the H1-dual metric; these are the stationarity
         # multipliers (c, d) the integral identities estimate independently
@@ -338,7 +337,16 @@ def _gauge_fix(grid: PolarGrid, vals: np.ndarray, antisym: bool) -> np.ndarray:
             best = (defect, s)
     s = best[1]
     out = np.roll(vals, -s, axis=1) if s else vals.copy()
-    if out[-1, 0] < 0.0:
+    # u and -u(-x) share energy, constraints and symmetry axis, and the
+    # eigenmode start is invariant under the swap, so roundoff decides which
+    # of the two a descent reaches.  In the full space keep the one whose
+    # outer-circle value at angle 0 outweighs the one at angle pi; in the
+    # anti-symmetric subspace those two cancel, so use the sign at angle 0.
+    if antisym:
+        flip = out[-1, 0] < 0.0
+    else:
+        flip = out[-1, 0] + out[-1, n_a // 2] < 0.0
+    if flip:
         out = np.roll(-out, -(n_a // 2), axis=1)
     if antisym:
         out = _antisym_project(grid, out)
@@ -364,8 +372,10 @@ def residual_rms(params, grid, u: Field, mult: Multipliers) -> float:
 def minimize(params: ProblemParams, grid: PolarGrid, opts: SolveOptions) -> MinimizeResult:
     """Best constrained minimizer over opts.n_starts starts.
 
-    The returned field is gauge-fixed: symmetry axis rotated onto +x1 and
-    sign chosen so the value nearest (+r_outer, 0) is nonnegative.
+    The returned field is gauge-fixed: symmetry axis rotated onto +x1, and
+    of u and -u(-x) the one whose value nearest (+r_outer, 0) outweighs the
+    value nearest (-r_outer, 0) (in the anti-symmetric subspace: is
+    nonnegative).
     """
     if opts.subspace == "antisymmetric" and grid.domain.kind != "disk":
         raise ValueError("the anti-symmetric problem is posed on the disk")
@@ -406,15 +416,7 @@ def minimize_antisymmetric(
 ) -> MinimizeResult:
     """Minimize within the subspace u(x1, x2) = -u(-x1, x2); every iterate
     is re-projected so the result is anti-symmetric to the bit."""
-    opts = SolveOptions(
-        max_iters=opts.max_iters,
-        grad_tol=opts.grad_tol,
-        constraint_tol=opts.constraint_tol,
-        n_starts=opts.n_starts,
-        seed=opts.seed,
-        init=opts.init,
-        subspace="antisymmetric",
-    )
+    opts = replace(opts, subspace="antisymmetric")
     return minimize(params, grid, opts)
 
 

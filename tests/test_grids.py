@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from polarmin.grids import (
     Field,
@@ -177,6 +181,25 @@ def test_dirichlet_energy_refinement_order_annulus():
         vals.append(integrate(g, grad_sq(g, f)))
     o1, o2 = observed_order(vals, exact)
     assert min(o1, o2) >= 1.8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r_inner=st.sampled_from([0.0, 0.1, 0.5, 2.0]),
+    n_r=st.integers(2, 12),
+    n_a=st.sampled_from(range(4, 33, 4)),
+    columns=st.sampled_from([None, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_h1_solve_matches_sparse_direct_solve(r_inner, n_r, n_a, columns, seed):
+    dom = disk(1.0) if r_inner == 0.0 else annulus(r_inner, r_inner + 1.0)
+    g = build_polar_grid(dom, n_r, n_a)
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(g.n_nodes if columns is None else (g.n_nodes, columns))
+    ref = spsolve((sp.diags(g.w.ravel()) + g.stiffness).tocsc(), b)
+    x = g.h1_solve(b)
+    assert x.shape == b.shape
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_field_validation():

@@ -150,6 +150,21 @@ def test_antisymmetric_dominates_at_large_p():
     assert res.lam <= comp_obj < res_as.lam
 
 
+def test_gauge_picks_one_of_the_mirror_minimizers():
+    # u and -u(-x) have the same objective and constraints but opposite c;
+    # starting from either must report the same field
+    g = build_polar_grid(disk(1.0), 48, 96)
+    params = ProblemParams(theta=0.1, p=8.0)
+    res_as = minimize_antisymmetric(params, g, SolveOptions(n_starts=1, seed=0))
+    comp = build_half_support_competitor(res_as.u, g, params)
+    res = minimize(params, g, SolveOptions(n_starts=1, seed=0, init=comp))
+    mirror = Field(g, -np.roll(res.u.values, g.n_a // 2, axis=1))
+    again = minimize(params, g, SolveOptions(n_starts=1, seed=0, init=mirror))
+    assert res.mult.c > 0.1
+    assert np.max(np.abs(again.u.values - res.u.values)) <= 1e-6
+    assert abs(again.mult.c - res.mult.c) <= 1e-6
+
+
 def test_half_support_competitor_identities():
     g = build_polar_grid(disk(1.0), 96, 192)
     params = ProblemParams(theta=0.1, p=8.0)
