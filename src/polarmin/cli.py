@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .functional import (
@@ -107,12 +107,9 @@ class SweepSpec:
             "values": list(self.values),
             "grid": list(self.grid) if self.grid is not None else None,
             "opts": {
-                "max_iters": self.opts.max_iters,
-                "grad_tol": self.opts.grad_tol,
-                "constraint_tol": self.opts.constraint_tol,
-                "n_starts": self.opts.n_starts,
-                "seed": self.opts.seed,
-                "subspace": self.opts.subspace,
+                f.name: getattr(self.opts, f.name)
+                for f in fields(SolveOptions)
+                if f.name != "init"
             },
         }
 

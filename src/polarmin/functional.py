@@ -39,7 +39,6 @@ __all__ = [
     "phi",
     "phi_prime",
     "eval_objective",
-    "objective_value_and_grad",
     "mean_constraint",
     "lp_norm",
     "g_term",
@@ -115,15 +114,12 @@ class ProblemParams:
     p: float
     q: float | None = None
     f_spec: FSpec = FSpec("zero")
-    dim: int = 2
 
     def __post_init__(self):
         if not 0.0 <= self.theta < 0.5:
             raise ValueError("theta must satisfy 0 <= 2*theta < 1")
         if not self.p > 1.0:
             raise ValueError("p must exceed 1")
-        if self.dim != 2:
-            raise ValueError("only dim = 2 is supported")
         if self.q is None:
             object.__setattr__(self, "q", 2.0 * (1.0 - self.theta))
         qlo = 2.0 * (1.0 - self.theta)
@@ -200,23 +196,6 @@ def eval_objective(params: ProblemParams, grid: PolarGrid, v: Field) -> float:
     if params.f_spec.kind != "zero":
         val -= float(np.sum(grid.w * _f_over_weight(params, v.values)))
     return val
-
-
-def objective_value_and_grad(
-    params: ProblemParams, grid: PolarGrid, U: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Objective in the substituted variable U = psi(u) and its exact
-    gradient with respect to the node values of U."""
-    theta = params.theta
-    u = phi(U, theta)
-    pp = phi_prime(U, theta)
-    AU = (grid.stiffness @ U.ravel()).reshape(grid.shape)
-    val = float(U.ravel() @ AU.ravel())
-    gradient = 2.0 * AU
-    if params.f_spec.kind != "zero":
-        val -= float(np.sum(grid.w * _f_over_weight(params, u)))
-        gradient -= 2.0 * grid.w * g_term(grid.r_nodes[:, None], u, params) * pp
-    return val, gradient
 
 
 def g_term(r, t, params: ProblemParams):

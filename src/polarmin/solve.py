@@ -25,6 +25,7 @@ from .functional import (
     Multipliers,
     P_REGULARIZATION,
     ProblemParams,
+    _f_over_weight,
     eval_objective,
     g_term,
     lp_norm,
@@ -52,6 +53,7 @@ __all__ = [
     "InfeasibleInitError",
     "minimize",
     "minimize_antisymmetric",
+    "objective_value_and_grad",
     "build_half_support_competitor",
     "restrict_positive_x1",
     "certify",
@@ -69,29 +71,28 @@ class InfeasibleInitError(RuntimeError):
 class SolveOptions:
     """Knobs of one minimization.
 
-    grad_tol bounds the H1-dual norm of the reduced (projected) gradient;
-    constraint_tol bounds |mean| and |lp_norm - 1| of the returned field
-    (held far below it by the exact per-step projection).  init is
-    "eigenmode", "random_smooth", or a Field to start from; extra starts
-    perturb the base start with seeded low-order harmonics.
+    grad_tol bounds the H1-dual norm of the reduced (projected) gradient.
+    init is "eigenmode", "random_smooth", or a Field to start from; extra
+    starts perturb the base start with seeded low-order harmonics.
     """
 
     max_iters: int = 6000
     grad_tol: float = 2e-5
-    constraint_tol: float = 1e-6
     n_starts: int = 1
     seed: int = 0
-    init: object = "eigenmode"
+    init: str | Field = "eigenmode"
     subspace: Literal["full", "antisymmetric"] = "full"
 
     def __post_init__(self):
         if self.max_iters <= 0 or self.n_starts < 1:
             raise ValueError("max_iters and n_starts must be positive")
-        if not (self.grad_tol > 0 and self.constraint_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.grad_tol > 0:
+            raise ValueError("grad_tol must be positive")
         if self.subspace not in ("full", "antisymmetric"):
             raise ValueError("subspace must be 'full' or 'antisymmetric'")
-        if isinstance(self.init, str) and self.init not in ("eigenmode", "random_smooth"):
+        if not isinstance(self.init, Field) and not (
+            isinstance(self.init, str) and self.init in ("eigenmode", "random_smooth")
+        ):
             raise ValueError("init must be 'eigenmode', 'random_smooth' or a Field")
 
 
@@ -103,7 +104,8 @@ class MinimizeResult:
     the integral identities; dual_c/dual_d are the optimizer's own
     least-squares duals (an independent estimate of the same quantities).
     starts_agreement is the relative spread of lam across converged
-    multi-starts.
+    multi-starts; merits is the best start's merit (half the objective)
+    at each iterate.
     """
 
     u: Field
@@ -117,7 +119,7 @@ class MinimizeResult:
     dual_c: float
     dual_d: float
     grad_norm: float
-    merit_segments: tuple
+    merits: tuple[float, ...]
     start_lambdas: tuple
     start_runtimes: tuple
 
@@ -201,7 +203,7 @@ class _RunRecord:
     grad_norm: float
     dual_c: float
     dual_d: float
-    merit_segments: tuple
+    merits: tuple[float, ...]
     runtime: float
 
 
@@ -211,9 +213,6 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
     w = grid.w
     antisym = opts.subspace == "antisymmetric"
     delta = P_REGULARIZATION if p < 2.0 else 0.0
-    power_law = params.f_spec.kind == "power_law"
-    r_col = grid.r_nodes[:, None]
-    A = grid.stiffness
     solve = grid.h1_solve
     shape = grid.shape
 
@@ -225,17 +224,8 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
 
     u0_vals = project(u0_vals)
 
-    def objective(U):
-        u = phi(U, theta)
-        AU = (A @ U.ravel()).reshape(shape)
-        J = float(U.ravel() @ AU.ravel())
-        if power_law:
-            f = params.f_spec
-            au = np.abs(u)
-            J += f.c0 * float(np.sum(w * au**f.alpha / (1.0 + au) ** (2.0 * theta)))
-        return u, AU, J
-
     U = psi(u0_vals, theta)
+    J, grad = objective_value_and_grad(params, grid, U)
     iters = 0
     eta_step = 1.0
     converged = False
@@ -245,13 +235,11 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
     eps = np.finfo(float).eps
 
     while iters < opts.max_iters:
-        u, AU, J = objective(U)
+        u = phi(U, theta)
         pp = phi_prime(U, theta)
         merits.append(0.5 * J)
         # gradient of half the objective, and of the two constraints
-        g_obj = AU.copy()
-        if power_law:
-            g_obj -= w * g_term(r_col, u, params) * pp
+        g_obj = 0.5 * grad
         g_c1 = w * pp
         g_c2 = w * signed_power(u, p, delta) * pp
         rhs = np.stack([g_obj.ravel(), g_c1.ravel(), g_c2.ravel()], axis=1)
@@ -288,14 +276,14 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
         for _ in range(60):
             u_try = project(phi(U - eta * z_red, theta))
             U_try = psi(u_try, theta)
-            _, _, J_t = objective(U_try)
+            J_t, grad_t = objective_value_and_grad(params, grid, U_try)
             if 0.5 * J_t <= m_val - max(1e-4 * eta * gTz, floor):
                 accepted = True
                 break
             eta *= 0.5
         if not accepted:
             break
-        U = U_try
+        U, J, grad = U_try, J_t, grad_t
         eta_step = eta
         iters += 1
 
@@ -310,9 +298,26 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
         grad_norm=gnorm,
         dual_c=c_dual,
         dual_d=d_dual,
-        merit_segments=(tuple(merits),),
+        merits=tuple(merits),
         runtime=time.perf_counter() - t0,
     )
+
+
+def objective_value_and_grad(
+    params: ProblemParams, grid: PolarGrid, U: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Objective in the substituted variable U = psi(u) and its exact
+    gradient with respect to the node values of U.  The descent evaluates
+    every point it visits through this routine."""
+    AU = (grid.stiffness @ U.ravel()).reshape(grid.shape)
+    val = float(U.ravel() @ AU.ravel())
+    gradient = 2.0 * AU
+    if params.f_spec.kind != "zero":
+        u = phi(U, params.theta)
+        pp = phi_prime(U, params.theta)
+        val -= float(np.sum(grid.w * _f_over_weight(params, u)))
+        gradient -= 2.0 * grid.w * g_term(grid.r_nodes[:, None], u, params) * pp
+    return val, gradient
 
 
 def _gauge_fix(grid: PolarGrid, vals: np.ndarray, antisym: bool) -> np.ndarray:
@@ -405,7 +410,7 @@ def minimize(params: ProblemParams, grid: PolarGrid, opts: SolveOptions) -> Mini
         dual_c=best.dual_c,
         dual_d=best.dual_d,
         grad_norm=best.grad_norm,
-        merit_segments=best.merit_segments,
+        merits=best.merits,
         start_lambdas=tuple(r.lam for r in runs),
         start_runtimes=tuple(r.runtime for r in runs),
     )

@@ -19,7 +19,6 @@ from polarmin.cli import SweepSpec, run_sweep_p, run_sweep_theta
 from polarmin.functional import (
     ProblemParams,
     eval_objective,
-    objective_value_and_grad,
     phi,
     power_law,
     psi,
@@ -44,7 +43,7 @@ from polarmin.rearrange import (
     mollify,
     two_point_rearrange,
 )
-from polarmin.solve import SolveOptions, certify, minimize
+from polarmin.solve import SolveOptions, certify, minimize, objective_value_and_grad
 from polarmin.spectral import neumann_root
 
 from test_grids import smooth_field

@@ -8,9 +8,9 @@ from polarmin.functional import (
     eval_objective,
     lp_norm,
     mean_constraint,
-    objective_value_and_grad,
     power_law,
     psi,
+    zero_f,
 )
 from polarmin.grids import Field, annulus, build_polar_grid, disk, reflect_field
 from polarmin.solve import (
@@ -20,6 +20,7 @@ from polarmin.solve import (
     certify,
     minimize,
     minimize_antisymmetric,
+    objective_value_and_grad,
     residual_rms,
     restrict_positive_x1,
 )
@@ -96,9 +97,43 @@ def test_merit_monotone_within_segments():
     g = build_polar_grid(disk(1.0), 32, 64)
     params = ProblemParams(theta=0.2, p=3.0)
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
-    for seg in res.merit_segments:
-        diffs = np.diff(np.array(seg))
-        assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(np.array(seg)[:-1])))
+    merits = np.array(res.merits)
+    diffs = np.diff(merits)
+    assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(merits[:-1])))
+
+
+@pytest.mark.parametrize("f_spec", [zero_f(), power_law(0.5, 2.0)], ids=["zero_f", "power_law"])
+def test_each_point_evaluated_once(monkeypatch, f_spec):
+    import polarmin.solve as solve_mod
+
+    seen = []
+
+    def recording(params, grid, U):
+        val, grad = objective_value_and_grad(params, grid, U)
+        seen.append((U.tobytes(), val))
+        return val, grad
+
+    monkeypatch.setattr(solve_mod, "objective_value_and_grad", recording)
+    g = build_polar_grid(disk(1.0), 16, 32)
+    params = ProblemParams(theta=0.2, p=3.0, f_spec=f_spec)
+    res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
+    assert res.converged and res.iterations >= 2
+    halves = {0.5 * val for _, val in seen}
+    assert all(m in halves for m in res.merits)
+    points = [u for u, _ in seen]
+    assert len(set(points)) == len(points)
+
+
+def test_solve_options_validation():
+    g = build_polar_grid(disk(1.0), 8, 16)
+    SolveOptions(init="random_smooth")
+    SolveOptions(init=smooth_field(g, 0))
+    for bad in (None, 5, "cold", np.zeros(g.shape)):
+        with pytest.raises(ValueError, match="init"):
+            SolveOptions(init=bad)
+    for kwargs in ({"max_iters": 0}, {"n_starts": 0}, {"grad_tol": 0.0}, {"subspace": "odd"}):
+        with pytest.raises(ValueError):
+            SolveOptions(**kwargs)
 
 
 def test_infeasible_init_raises():
