@@ -26,6 +26,8 @@ from .functional import (
     config_from_json,
     config_to_dict,
     eval_objective,
+    lp_norm,
+    mean_constraint,
     zero_f,
 )
 from .grids import (
@@ -162,8 +164,6 @@ class SweepRow:
 
 def _validate_result(params, grid, res: MinimizeResult) -> None:
     # re-check the result invariants before a row is written
-    from .functional import lp_norm, mean_constraint
-
     if abs(mean_constraint(grid, res.u)) > 1e-6:
         raise RuntimeError("row validation failed: nonzero mean")
     if abs(lp_norm(grid, res.u, params.p) - 1.0) > 1e-6:

@@ -337,11 +337,12 @@ def grad_sq(grid: PolarGrid, f: Field) -> Field:
     the innermost disk ring (neighbor at angle a + pi).  Angular part:
     mean of the squared forward and backward edge differences, which is
     second-order at the node and makes the quadrature of this field the
-    exact discrete Dirichlet energy.
+    exact discrete Dirichlet energy.  Both differences are the sparse
+    stencils the stiffness matrix is assembled from.
     """
-    F = f.values
-    dradial = (grid._radial_diff @ F.ravel()).reshape(grid.shape)
-    dfwd = (np.roll(F, -1, axis=1) - F) / (grid.r_nodes[:, None] * grid.delta_a)
+    F = f.values.ravel()
+    dradial = (grid._radial_diff @ F).reshape(grid.shape)
+    dfwd = (grid._angular_fwd_diff @ F).reshape(grid.shape)
     gsq = dradial**2 + 0.5 * (dfwd**2 + np.roll(dfwd, 1, axis=1) ** 2)
     return Field(grid, gsq)
 
@@ -389,17 +390,12 @@ def reflect_field(f: Field, axis) -> Field:
     bare normal angle in radians.  Rejects reflections that do not permute
     the node set.
     """
-    grid = f.grid
-    n_a = grid.n_a
-    j = np.arange(n_a)
     if axis == "x1":
-        idx = (-j) % n_a
+        axis = math.pi / 2
     elif axis == "x2":
-        idx = (n_a // 2 - j) % n_a
-    else:
-        angle = getattr(axis, "normal_angle", axis)
-        idx = reflection_index_map(grid, float(angle))
-    return Field(grid, f.values[:, idx])
+        axis = 0.0
+    angle = float(getattr(axis, "normal_angle", axis))
+    return Field(f.grid, f.values[:, reflection_index_map(f.grid, angle)])
 
 
 def rotate_field(f: Field, steps: int) -> Field:
@@ -426,7 +422,9 @@ def dump_field(f: Field) -> str:
 
 
 def parse_field(text: str) -> Field:
-    """Inverse of dump_field."""
+    """Inverse of dump_field.  Rejects a node line whose r or a is not the
+    header grid's node at that position (lines reordered, or taken from
+    another grid)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing field header line")
@@ -440,10 +438,18 @@ def parse_field(text: str) -> Field:
     body = lines[1:]
     if len(body) != n_r * n_a:
         raise ValueError(f"expected {n_r * n_a} node lines, got {len(body)}")
-    vals = np.empty((n_r, n_a))
-    for k, ln in enumerate(body):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed node line: {ln!r}")
-        vals[k // n_a, k % n_a] = float(parts[2])
+    try:
+        nodes = np.loadtxt(body, comments=None, ndmin=2)
+        if nodes.shape[1] != 3:
+            raise ValueError(f"{nodes.shape[1]} columns")
+    except ValueError as err:
+        # name the first line without three columns, else what loadtxt found
+        bad = next((repr(ln) for ln in body if len(ln.split()) != 3), str(err))
+        raise ValueError(f"malformed node line: {bad}") from None
+    r, a, vals = nodes.T.reshape(3, n_r, n_a)
+    r_ok = np.isclose(r, grid.r_nodes[:, None], rtol=0.0, atol=1e-9 * r_outer)
+    off = np.argwhere(~(r_ok & np.isclose(a, grid.a_nodes, rtol=0.0, atol=1e-9)))
+    if len(off):
+        i, j = off[0]
+        raise ValueError(f"node line {i * n_a + j + 1} is not at grid node ({i}, {j})")
     return Field(grid, vals)

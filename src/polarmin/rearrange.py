@@ -15,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .grids import (
@@ -154,8 +155,6 @@ def mollification_matrix(grid: PolarGrid, eps: float):
     mat = tree.sparse_distance_matrix(tree, eps, output_type="coo_matrix")
     kern = (1.0 - (mat.data / eps) ** 2) ** 2
     q = grid.w.ravel()
-    import scipy.sparse as sp
-
     m = sp.coo_matrix((kern * q[mat.col], (mat.row, mat.col)), shape=mat.shape).tocsr()
     # sparse_distance_matrix drops nothing within eps including d = 0, so
     # every row has at least the node itself and a positive sum; dividing
@@ -198,12 +197,38 @@ class SymmetryReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _aligned_defects(grid: PolarGrid, g: np.ndarray, norm: float) -> tuple[float, float, float]:
-    gf = Field(grid, g)
-    fol = weighted_l2(grid, g - foliated_symmetrize(gf).values) / norm
-    anti = weighted_l2(grid, g + reflect_field(gf, "x2").values) / (2.0 * norm)
-    even = weighted_l2(grid, g - reflect_field(gf, "x1").values) / (2.0 * norm)
-    return fol, anti, even
+def _align(f: Field, norm: float, exhaustive: bool = False) -> tuple[float, np.ndarray, float]:
+    """Rotate f's symmetry axis onto +x1 by a grid rotation.
+
+    The axis is the angle of the first angular Fourier moment (mass
+    weighted), and of its two grid neighbors the rotation is the one that
+    leaves the smaller foliated defect; ``exhaustive`` scans every grid
+    rotation instead and takes the axis from the best.  Ties go to the
+    first candidate.  Returns the axis, the rotated values and their
+    foliated defect over ``norm``.
+    """
+    grid = f.grid
+    n_a, da = grid.n_a, grid.delta_a
+    if exhaustive:
+        steps = range(n_a)
+    else:
+        moment = complex(np.sum(grid.w * f.values * np.exp(1j * grid.a_nodes)[None, :]))
+        if abs(moment) < 1e-12 * norm * math.sqrt(grid.domain.area):
+            axis = 0.0
+        else:
+            axis = math.atan2(moment.imag, moment.real) % (2.0 * math.pi)
+        s_lo = math.floor(axis / da)
+        steps = (s_lo % n_a, (s_lo + 1) % n_a)
+    best = None
+    for s in steps:
+        g = rotate_field(f, s).values
+        fol = weighted_l2(grid, g - foliated_symmetrize(Field(grid, g)).values) / norm
+        if best is None or fol < best[2]:
+            best = (s, g, fol)
+    s, g, fol = best
+    if exhaustive:
+        axis = (s * da) % (2 * math.pi)
+    return axis, g, fol
 
 
 def symmetry_report(f: Field, exhaustive: bool = False) -> SymmetryReport:
@@ -215,29 +240,8 @@ def symmetry_report(f: Field, exhaustive: bool = False) -> SymmetryReport:
     norm = weighted_l2(grid, f.values)
     if norm == 0.0:
         raise ValueError("symmetry report of the zero field")
-    da = grid.delta_a
-    if exhaustive:
-        best = None
-        for s in range(grid.n_a):
-            g = rotate_field(f, s).values
-            defs = _aligned_defects(grid, g, norm)
-            if best is None or defs[0] < best[1][0]:
-                best = (s, defs)
-        s, (fol, anti, even) = best
-        return SymmetryReport((s * da) % (2 * math.pi), fol, anti, even)
-    moment = complex(np.sum(grid.w * f.values * np.exp(1j * grid.a_nodes)[None, :]))
-    if abs(moment) < 1e-12 * norm * math.sqrt(grid.domain.area):
-        axis = 0.0
-    else:
-        axis = math.atan2(moment.imag, moment.real) % (2.0 * math.pi)
-    # the alignment rotation is a grid multiple; between the two neighbors
-    # of the estimated axis, keep whichever leaves the smaller defect
-    s_lo = math.floor(axis / da)
-    best = None
-    for s in (s_lo % grid.n_a, (s_lo + 1) % grid.n_a):
-        g = rotate_field(f, s).values
-        defs = _aligned_defects(grid, g, norm)
-        if best is None or defs[0] < best[0]:
-            best = defs
-    fol, anti, even = best
+    axis, g, fol = _align(f, norm, exhaustive)
+    gf = Field(grid, g)
+    anti = weighted_l2(grid, g + reflect_field(gf, "x2").values) / (2.0 * norm)
+    even = weighted_l2(grid, g - reflect_field(gf, "x1").values) / (2.0 * norm)
     return SymmetryReport(axis, fol, anti, even)

@@ -36,9 +36,12 @@ from .functional import (
     signed_power,
     euler_residual,
 )
-from .grids import Field, PolarGrid, integrate, reflect_field
+from .grids import Field, PolarGrid, integrate, reflect_field, reflection_index_map, rotate_field
 from .rearrange import (
+    HalfPlane,
     SymmetryReport,
+    _align,
+    _side_of,
     grid_half_planes,
     symmetry_report,
     two_point_rearrange,
@@ -120,7 +123,6 @@ class MinimizeResult:
     dual_d: float
     grad_norm: float
     merits: tuple[float, ...]
-    start_lambdas: tuple
     start_runtimes: tuple
 
     def to_json_dict(self) -> dict:
@@ -138,9 +140,8 @@ class MinimizeResult:
 
 
 def _antisym_project(grid: PolarGrid, vals: np.ndarray) -> np.ndarray:
-    n_a = grid.n_a
-    idx = (n_a // 2 - np.arange(n_a)) % n_a
-    return 0.5 * (vals - vals[:, idx])
+    """Odd part under the reflection across the x2-axis (a -> pi - a)."""
+    return 0.5 * (vals - vals[:, reflection_index_map(grid, 0.0)])
 
 
 def _project_feasible(params: ProblemParams, grid: PolarGrid, vals: np.ndarray) -> np.ndarray:
@@ -321,27 +322,15 @@ def objective_value_and_grad(
 
 
 def _gauge_fix(grid: PolarGrid, vals: np.ndarray, antisym: bool) -> np.ndarray:
-    from .rearrange import foliated_symmetrize, weighted_l2 as _wl2
-
-    rep = symmetry_report(Field(grid, vals))
+    f = Field(grid, vals)
+    # in the full space, the rotation symmetry_report aligns the axis with
+    axis, out, _ = _align(f, weighted_l2(grid, vals))
     n_a = grid.n_a
-    s0 = round(rep.axis_angle / grid.delta_a) % n_a
     if antisym:
-        # only rotations by 0 or pi preserve the anti-symmetric subspace
-        cands = [0 if min(s0, n_a - s0) <= abs(s0 - n_a // 2) else n_a // 2]
-    else:
-        # when the axis falls between grid angles the moment estimate can be
-        # one cell off; pick the neighbor with the smallest foliated defect
-        cands = [(s0 - 1) % n_a, s0, (s0 + 1) % n_a]
-    best = None
-    for s in cands:
-        rolled = np.roll(vals, -s, axis=1) if s else vals
-        f = Field(grid, rolled)
-        defect = _wl2(grid, rolled - foliated_symmetrize(f).values)
-        if best is None or defect < best[0]:
-            best = (defect, s)
-    s = best[1]
-    out = np.roll(vals, -s, axis=1) if s else vals.copy()
+        # only rotations by 0 or pi preserve the anti-symmetric subspace;
+        # take the one nearer the axis
+        s0 = round(axis / grid.delta_a) % n_a
+        out = rotate_field(f, 0 if min(s0, n_a - s0) <= abs(s0 - n_a // 2) else n_a // 2).values
     # u and -u(-x) share energy, constraints and symmetry axis, and the
     # eigenmode start is invariant under the swap, so roundoff decides which
     # of the two a descent reaches.  In the full space keep the one whose
@@ -411,7 +400,6 @@ def minimize(params: ProblemParams, grid: PolarGrid, opts: SolveOptions) -> Mini
         dual_d=best.dual_d,
         grad_norm=best.grad_norm,
         merits=best.merits,
-        start_lambdas=tuple(r.lam for r in runs),
         start_runtimes=tuple(r.runtime for r in runs),
     )
 
@@ -427,10 +415,8 @@ def minimize_antisymmetric(
 
 def restrict_positive_x1(v: Field) -> Field:
     """Zero the field outside the open half-disk {x1 > 0}."""
-    grid = v.grid
-    j = np.arange(grid.n_a)
-    mask = (j < grid.n_a // 4) | (j > 3 * (grid.n_a // 4))
-    return Field(grid, np.where(mask[None, :], v.values, 0.0))
+    inside = _side_of(v.grid, HalfPlane(0.0)) > 0
+    return Field(v.grid, np.where(inside[None, :], v.values, 0.0))
 
 
 def build_half_support_competitor(v_as: Field, grid: PolarGrid, params: ProblemParams) -> Field:
@@ -446,11 +432,9 @@ def build_half_support_competitor(v_as: Field, grid: PolarGrid, params: ProblemP
     restricted = restrict_positive_x1(v_as)
     if weighted_l2(grid, restricted.values) == 0.0:
         raise ValueError("degenerate competitor: restriction vanishes")
-    vals = restricted.values - integrate(grid, restricted) / grid.domain.area
-    nrm = float(np.sum(grid.w * np.abs(vals) ** params.p)) ** (1.0 / params.p)
-    if not nrm > 1e-300:
-        raise ValueError("degenerate competitor: zero after mean removal")
-    return Field(grid, vals / nrm)
+    # nonzero on one half-disk and zero on the other, so never constant:
+    # the projection cannot meet a field that vanishes after mean removal
+    return Field(grid, _project_feasible(params, grid, restricted.values))
 
 
 @dataclass(frozen=True)

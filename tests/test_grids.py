@@ -239,3 +239,17 @@ def test_parse_rejects_malformed():
     lines = text.splitlines()
     with pytest.raises(ValueError, match="node lines"):
         parse_field("\n".join(lines[:-1]))
+
+
+def test_parse_rejects_lines_off_the_grid():
+    g = build_polar_grid(annulus(0.5, 1.0), 4, 8)
+    lines = dump_field(smooth_field(g, 4)).splitlines()
+    swapped = lines.copy()
+    swapped[3], swapped[4] = swapped[4], swapped[3]
+    with pytest.raises(ValueError, match="not at grid node"):
+        parse_field("\n".join(swapped))
+    # the same node count read under another grid's header
+    with pytest.raises(ValueError, match="not at grid node"):
+        parse_field("\n".join(["# 4 8 0.25 1.0"] + lines[1:]))
+    with pytest.raises(ValueError, match="malformed node line"):
+        parse_field("\n".join(lines[:5] + [lines[5] + " 1.0"] + lines[6:]))
