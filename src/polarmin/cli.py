@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .functional import (
@@ -58,11 +58,6 @@ __all__ = [
     "main",
 ]
 
-CSV_HEADER = (
-    "value,lambda,lambda_as,c,d,foliated_defect,antisym_defect,"
-    "even_defect,converged,runtime_s"
-)
-
 DEFAULT_THETA_VALUES = (0.02, 0.05, 0.10, 0.20, 0.30)
 DEFAULT_P_VALUES = (2.0, 4.0, 8.0, 16.0, 24.0, 32.0)
 
@@ -90,10 +85,8 @@ class SweepSpec:
             self.params_at(v)  # admissibility of every row
 
     def params_at(self, value: float) -> ProblemParams:
-        base = self.params_base
-        if self.axis == "theta":
-            return ProblemParams(theta=value, p=base.p, f_spec=base.f_spec)
-        return ProblemParams(theta=base.theta, p=value, f_spec=base.f_spec)
+        # q=None re-derives the default Sobolev exponent for the row's theta
+        return replace(self.params_base, q=None, **{self.axis: value})
 
     def grid_for(self, value: float) -> tuple:
         if self.grid is not None:
@@ -116,8 +109,16 @@ class SweepSpec:
         }
 
 
+# output column names of the row fields whose names differ
+_OUTPUT_NAMES = {"lam": "lambda", "lam_as": "lambda_as"}
+
+
 @dataclass
 class SweepRow:
+    """One sweep row.  Its fields, renamed by _OUTPUT_NAMES, are the output
+    columns: the CSV has all but starts_agreement, the manifest all but
+    the wall time runtime_s."""
+
     value: float
     lam: float
     lam_as: float | None
@@ -131,35 +132,28 @@ class SweepRow:
     starts_agreement: float = 0.0
 
     def to_csv(self) -> str:
-        lam_as = "" if self.lam_as is None else repr(self.lam_as)
-        return ",".join(
-            [
-                repr(self.value),
-                repr(self.lam),
-                lam_as,
-                repr(self.c),
-                repr(self.d),
-                repr(self.foliated_defect),
-                repr(self.antisym_defect),
-                repr(self.even_defect),
-                "true" if self.converged else "false",
-                f"{self.runtime_s:.3f}",
-            ]
-        )
+        return ",".join(_csv_cell(name, getattr(self, name)) for name in _CSV_FIELDS)
 
     def to_manifest(self) -> dict:
-        return {
-            "value": self.value,
-            "lambda": self.lam,
-            "lambda_as": self.lam_as,
-            "c": self.c,
-            "d": self.d,
-            "foliated_defect": self.foliated_defect,
-            "antisym_defect": self.antisym_defect,
-            "even_defect": self.even_defect,
-            "converged": self.converged,
-            "starts_agreement": self.starts_agreement,
-        }
+        row = asdict(self)
+        del row["runtime_s"]
+        return {_OUTPUT_NAMES.get(k, k): v for k, v in row.items()}
+
+
+_CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.name != "starts_agreement")
+CSV_HEADER = ",".join(_OUTPUT_NAMES.get(name, name) for name in _CSV_FIELDS)
+
+
+def _csv_cell(name: str, v) -> str:
+    if name == "runtime_s":
+        return f"{v:.3f}"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return "" if v is None else repr(v)
+
+
+def _csv_text(rows: list) -> str:
+    return "\n".join([CSV_HEADER] + [r.to_csv() for r in rows]) + "\n"
 
 
 def _validate_result(params, grid, res: MinimizeResult) -> None:
@@ -188,15 +182,22 @@ def _row_from(value: float, res: MinimizeResult, lam_as, runtime: float) -> Swee
     )
 
 
-def _estimate_grid_tol(spec: SweepSpec, rows_done: dict, value: float) -> float:
-    """Gap between one representative row and its one-step refinement; the
-    significance threshold for the strict inequalities the sweep reports."""
-    params = spec.params_at(value)
-    n_r, n_a = spec.grid_for(value)
-    coarse = rows_done[value]
+def _warm(opts: SolveOptions, warm, grid) -> SolveOptions:
+    """opts, started from the previous row's minimizer when it lives on grid."""
+    if warm is None or warm.grid.key() != grid.key():
+        return opts
+    return replace(opts, init=warm)
+
+
+def _estimate_grid_tol(spec: SweepSpec, rows: list) -> float:
+    """Gap between the middle row (by swept value) and its one-step
+    refinement; the significance threshold for the strict inequalities the
+    sweep reports."""
+    mid = sorted(rows, key=lambda r: r.value)[len(rows) // 2]
+    n_r, n_a = spec.grid_for(mid.value)
     fine_grid = build_polar_grid(spec.domain, 2 * n_r, 2 * n_a)
-    res = minimize(params, fine_grid, replace(spec.opts, n_starts=1))
-    return max(abs(res.lam - coarse), 1e-9)
+    res = minimize(spec.params_at(mid.value), fine_grid, replace(spec.opts, n_starts=1))
+    return max(abs(res.lam - mid.lam), 1e-9)
 
 
 def _write_outputs(spec: SweepSpec, name: str, rows: list, manifest_extra: dict) -> None:
@@ -204,8 +205,7 @@ def _write_outputs(spec: SweepSpec, name: str, rows: list, manifest_extra: dict)
         return
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_lines = [CSV_HEADER] + [r.to_csv() for r in rows]
-    (out / f"{name}.csv").write_text("\n".join(csv_lines) + "\n")
+    (out / f"{name}.csv").write_text(_csv_text(rows))
     manifest = dict(spec.to_dict())
     manifest["rows"] = [r.to_manifest() for r in rows]
     manifest.update(manifest_extra)
@@ -224,21 +224,16 @@ def run_sweep_theta(spec: SweepSpec) -> tuple[list, dict]:
     if spec.domain.kind != "disk":
         raise ValueError("theta sweep is posed on the disk")
     rows = []
-    lam_by_value = {}
     warm = None
     for value in sorted(spec.values, reverse=True):
         params = spec.params_at(value)
-        n_r, n_a = spec.grid_for(value)
-        grid = build_polar_grid(spec.domain, n_r, n_a)
-        opts = spec.opts if warm is None else replace(spec.opts, init=warm)
+        grid = build_polar_grid(spec.domain, *spec.grid_for(value))
         t0 = time.perf_counter()
-        res = minimize(params, grid, opts)
+        res = minimize(params, grid, _warm(spec.opts, warm, grid))
         _validate_result(params, grid, res)
         rows.append(_row_from(value, res, None, time.perf_counter() - t0))
-        lam_by_value[value] = res.lam
         warm = res.u
-    mid = sorted(spec.values)[len(spec.values) // 2]
-    grid_tol = _estimate_grid_tol(spec, lam_by_value, mid)
+    grid_tol = _estimate_grid_tol(spec, rows)
     lam2 = neumann_mode(1, 1, radius=spec.domain.r_outer).eigenvalue
     # rows run with theta decreasing; lambda should not decrease along them
     lam_seq = [r.lam for r in rows]
@@ -282,33 +277,23 @@ def run_sweep_p(spec: SweepSpec) -> tuple[list, dict]:
         raise ValueError("p sweep is posed on the disk")
     rows = []
     competitor_objectives = {}
-    lam_by_value = {}
     warm_full = warm_as = None
     for value in sorted(spec.values):
         params = spec.params_at(value)
-        n_r, n_a = spec.grid_for(value)
-        grid = build_polar_grid(spec.domain, n_r, n_a)
+        grid = build_polar_grid(spec.domain, *spec.grid_for(value))
         t0 = time.perf_counter()
-        as_opts = spec.opts
-        if warm_as is not None and warm_as.grid.key() == grid.key():
-            as_opts = replace(spec.opts, init=warm_as)
-        res_as = minimize_antisymmetric(params, grid, as_opts)
+        res_as = minimize_antisymmetric(params, grid, _warm(spec.opts, warm_as, grid))
         warm_as = res_as.u
         competitor = build_half_support_competitor(res_as.u, grid, params)
         competitor_objectives[value] = eval_objective(params, grid, competitor)
-        full_opts = spec.opts
-        if warm_full is not None and warm_full.grid.key() == grid.key():
-            full_opts = replace(spec.opts, init=warm_full)
-        res_full = minimize(params, grid, full_opts)
+        res_full = minimize(params, grid, _warm(spec.opts, warm_full, grid))
         res_comp = minimize(params, grid, replace(spec.opts, init=competitor, n_starts=1))
         if res_comp.converged and (not res_full.converged or res_comp.lam < res_full.lam):
             res_full = res_comp
         warm_full = res_full.u
         _validate_result(params, grid, res_full)
         rows.append(_row_from(value, res_full, res_as.lam, time.perf_counter() - t0))
-        lam_by_value[value] = res_full.lam
-    mid = sorted(spec.values)[len(spec.values) // 2]
-    grid_tol = _estimate_grid_tol(spec, lam_by_value, mid)
+    grid_tol = _estimate_grid_tol(spec, rows)
     onset = None
     for r in rows:
         if r.lam_as - r.lam > 3.0 * grid_tol:
@@ -442,9 +427,7 @@ def main(argv=None) -> int:
             out_dir=args.out,
         )
         rows, extras = run_sweep_theta(spec) if args.cmd == "sweep-theta" else run_sweep_p(spec)
-        print(CSV_HEADER)
-        for r in rows:
-            print(r.to_csv())
+        sys.stdout.write(_csv_text(rows))
         print(json.dumps(extras.get("flags", {}), sort_keys=True))
         return 0 if all(r.converged for r in rows) else 1
 
@@ -465,7 +448,7 @@ def main(argv=None) -> int:
         ]
         modes.sort(key=lambda m: m.eigenvalue)
         if args.json:
-            print(json.dumps([json.loads(m.to_json()) for m in modes], indent=2))
+            print(json.dumps([asdict(m) for m in modes], indent=2, sort_keys=True))
         else:
             print("n  k  alpha_nk        eigenvalue")
             for m in modes:

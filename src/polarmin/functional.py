@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal
 
 import numpy as np
@@ -67,6 +67,8 @@ class FSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "power_law"):
             raise ValueError(f"unknown F kind {self.kind!r}")
+        if not (math.isfinite(self.c0) and math.isfinite(self.alpha)):
+            raise ValueError("F coefficient c0 and exponent alpha must be finite")
         if self.kind == "power_law":
             if self.c0 < 0:
                 raise ValueError("power-law coefficient c0 must be >= 0")
@@ -118,8 +120,8 @@ class ProblemParams:
     def __post_init__(self):
         if not 0.0 <= self.theta < 0.5:
             raise ValueError("theta must satisfy 0 <= 2*theta < 1")
-        if not self.p > 1.0:
-            raise ValueError("p must exceed 1")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError("p must be finite and exceed 1")
         if self.q is None:
             object.__setattr__(self, "q", 2.0 * (1.0 - self.theta))
         qlo = 2.0 * (1.0 - self.theta)
@@ -291,8 +293,8 @@ def config_to_dict(params: ProblemParams, domain: RadialDomain) -> dict:
         "theta": params.theta,
         "p": params.p,
         "q": params.q,
-        "F": {"kind": params.f_spec.kind, "c0": params.f_spec.c0, "alpha": params.f_spec.alpha},
-        "domain": {"kind": domain.kind, "r_inner": domain.r_inner, "r_outer": domain.r_outer},
+        "F": asdict(params.f_spec),
+        "domain": asdict(domain),
     }
 
 

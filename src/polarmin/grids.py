@@ -413,11 +413,9 @@ def dump_field(f: Field) -> str:
     grid = f.grid
     d = grid.domain
     lines = [f"# {grid.n_r} {grid.n_a} {float(d.r_inner)!r} {float(d.r_outer)!r}"]
-    vals = f.values
-    for i in range(grid.n_r):
-        r = float(grid.r_nodes[i])
-        for j in range(grid.n_a):
-            lines.append(f"{r!r} {float(grid.a_nodes[j])!r} {float(vals[i, j])!r}")
+    angles = [repr(a) for a in grid.a_nodes.tolist()]
+    for r, ring in zip(grid.r_nodes.tolist(), f.values):
+        lines.extend(f"{r!r} {a} {v!r}" for a, v in zip(angles, ring.tolist()))
     return "\n".join(lines) + "\n"
 
 

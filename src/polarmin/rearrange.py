@@ -65,6 +65,8 @@ def grid_half_planes(grid: PolarGrid, count: int | None = None) -> list[HalfPlan
     node lies on any boundary line.  Returns ``count`` of them, evenly
     spread (default: all n_a)."""
     n = grid.n_a if count is None else count
+    if n < 1:
+        raise ValueError("count must be positive")
     if grid.n_a % n != 0:
         raise ValueError("count must divide n_a")
     stride = grid.n_a // n
@@ -197,26 +199,32 @@ class SymmetryReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _moment_axis(f: Field, norm: float) -> float:
+    """Angle in [0, 2 pi) of f's first angular Fourier moment (mass
+    weighted); 0 when the moment is negligible against ``norm``, f's L2
+    norm."""
+    grid = f.grid
+    moment = complex(np.sum(grid.w * f.values * np.exp(1j * grid.a_nodes)[None, :]))
+    if abs(moment) < 1e-12 * norm * math.sqrt(grid.domain.area):
+        return 0.0
+    return math.atan2(moment.imag, moment.real) % (2.0 * math.pi)
+
+
 def _align(f: Field, norm: float, exhaustive: bool = False) -> tuple[float, np.ndarray, float]:
     """Rotate f's symmetry axis onto +x1 by a grid rotation.
 
-    The axis is the angle of the first angular Fourier moment (mass
-    weighted), and of its two grid neighbors the rotation is the one that
-    leaves the smaller foliated defect; ``exhaustive`` scans every grid
-    rotation instead and takes the axis from the best.  Ties go to the
-    first candidate.  Returns the axis, the rotated values and their
-    foliated defect over ``norm``.
+    The axis is ``_moment_axis``, and of its two grid neighbors the
+    rotation is the one that leaves the smaller foliated defect;
+    ``exhaustive`` scans every grid rotation instead and takes the axis
+    from the best.  Ties go to the first candidate.  Returns the axis, the
+    rotated values and their foliated defect over ``norm``.
     """
     grid = f.grid
     n_a, da = grid.n_a, grid.delta_a
     if exhaustive:
         steps = range(n_a)
     else:
-        moment = complex(np.sum(grid.w * f.values * np.exp(1j * grid.a_nodes)[None, :]))
-        if abs(moment) < 1e-12 * norm * math.sqrt(grid.domain.area):
-            axis = 0.0
-        else:
-            axis = math.atan2(moment.imag, moment.real) % (2.0 * math.pi)
+        axis = _moment_axis(f, norm)
         s_lo = math.floor(axis / da)
         steps = (s_lo % n_a, (s_lo + 1) % n_a)
     best = None

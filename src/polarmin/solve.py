@@ -41,6 +41,7 @@ from .rearrange import (
     HalfPlane,
     SymmetryReport,
     _align,
+    _moment_axis,
     _side_of,
     grid_half_planes,
     symmetry_report,
@@ -91,52 +92,14 @@ class SolveOptions:
             raise ValueError("max_iters and n_starts must be positive")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.subspace not in ("full", "antisymmetric"):
             raise ValueError("subspace must be 'full' or 'antisymmetric'")
         if not isinstance(self.init, Field) and not (
             isinstance(self.init, str) and self.init in ("eigenmode", "random_smooth")
         ):
             raise ValueError("init must be 'eigenmode', 'random_smooth' or a Field")
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    """Gauge-fixed minimizer and its diagnostics.
-
-    lam is the objective recomputed at the returned field; mult comes from
-    the integral identities; dual_c/dual_d are the optimizer's own
-    least-squares duals (an independent estimate of the same quantities).
-    starts_agreement is the relative spread of lam across converged
-    multi-starts; merits is the best start's merit (half the objective)
-    at each iterate.
-    """
-
-    u: Field
-    lam: float
-    mult: Multipliers
-    iterations: int
-    converged: bool
-    residual_rms: float
-    symmetry: SymmetryReport
-    starts_agreement: float
-    dual_c: float
-    dual_d: float
-    grad_norm: float
-    merits: tuple[float, ...]
-    start_runtimes: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "c": self.mult.c,
-            "d": self.mult.d,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residual_rms": self.residual_rms,
-            "symmetry": self.symmetry.to_dict(),
-            "starts_agreement": self.starts_agreement,
-            "grad_norm": self.grad_norm,
-        }
 
 
 def _antisym_project(grid: PolarGrid, vals: np.ndarray) -> np.ndarray:
@@ -195,9 +158,16 @@ def _build_start(params, grid, opts, k: int) -> np.ndarray:
     return base
 
 
-@dataclass
+@dataclass(frozen=True)
 class _RunRecord:
-    u: np.ndarray
+    """One start: its gauge-fixed field and descent diagnostics.
+
+    lam is the objective recomputed at u; dual_c/dual_d are the optimizer's
+    own least-squares duals; merits is the merit (half the objective) at
+    each iterate; runtime is the start's wall time.
+    """
+
+    u: Field
     lam: float
     converged: bool
     iterations: int
@@ -206,6 +176,36 @@ class _RunRecord:
     dual_d: float
     merits: tuple[float, ...]
     runtime: float
+
+
+@dataclass(frozen=True)
+class MinimizeResult(_RunRecord):
+    """The best start's record, with the diagnostics of its field.
+
+    mult comes from the integral identities, an estimate of the same duals
+    as dual_c/dual_d that does not use the optimizer.  starts_agreement is
+    the relative spread of lam across converged multi-starts;
+    start_runtimes holds every start's wall time.
+    """
+
+    mult: Multipliers
+    residual_rms: float
+    symmetry: SymmetryReport
+    starts_agreement: float
+    start_runtimes: tuple
+
+    def to_json_dict(self) -> dict:
+        return {
+            "lambda": self.lam,
+            "c": self.mult.c,
+            "d": self.mult.d,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "residual_rms": self.residual_rms,
+            "symmetry": self.symmetry.to_dict(),
+            "starts_agreement": self.starts_agreement,
+            "grad_norm": self.grad_norm,
+        }
 
 
 def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
@@ -288,12 +288,10 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
         eta_step = eta
         iters += 1
 
-    u_final = project(phi(U, theta))
-    u_final = _gauge_fix(grid, u_final, antisym)
-    lam = eval_objective(params, grid, Field(grid, u_final))
+    u_final = _gauge_fix(grid, project(phi(U, theta)), antisym)
     return _RunRecord(
         u=u_final,
-        lam=lam,
+        lam=eval_objective(params, grid, u_final),
         converged=converged,
         iterations=iters,
         grad_norm=gnorm,
@@ -321,16 +319,18 @@ def objective_value_and_grad(
     return val, gradient
 
 
-def _gauge_fix(grid: PolarGrid, vals: np.ndarray, antisym: bool) -> np.ndarray:
+def _gauge_fix(grid: PolarGrid, vals: np.ndarray, antisym: bool) -> Field:
     f = Field(grid, vals)
-    # in the full space, the rotation symmetry_report aligns the axis with
-    axis, out, _ = _align(f, weighted_l2(grid, vals))
+    norm = weighted_l2(grid, vals)
     n_a = grid.n_a
     if antisym:
         # only rotations by 0 or pi preserve the anti-symmetric subspace;
-        # take the one nearer the axis
-        s0 = round(axis / grid.delta_a) % n_a
+        # take the one nearer the moment axis
+        s0 = round(_moment_axis(f, norm) / grid.delta_a) % n_a
         out = rotate_field(f, 0 if min(s0, n_a - s0) <= abs(s0 - n_a // 2) else n_a // 2).values
+    else:
+        # the same rotation symmetry_report measures the defects in
+        _, out, _ = _align(f, norm)
     # u and -u(-x) share energy, constraints and symmetry axis, and the
     # eigenmode start is invariant under the swap, so roundoff decides which
     # of the two a descent reaches.  In the full space keep the one whose
@@ -344,7 +344,7 @@ def _gauge_fix(grid: PolarGrid, vals: np.ndarray, antisym: bool) -> np.ndarray:
         out = np.roll(-out, -(n_a // 2), axis=1)
     if antisym:
         out = _antisym_project(grid, out)
-    return out
+    return Field(grid, out)
 
 
 def residual_rms(params, grid, u: Field, mult: Multipliers) -> float:
@@ -385,21 +385,13 @@ def minimize(params: ProblemParams, grid: PolarGrid, opts: SolveOptions) -> Mini
         spread = (max(lams) - min(lams)) / max(abs(best.lam), 1e-300)
     else:
         spread = 0.0
-    u = Field(grid, best.u)
-    mult = multipliers_from_identities(params, grid, u)
+    mult = multipliers_from_identities(params, grid, best.u)
     return MinimizeResult(
-        u=u,
-        lam=best.lam,
+        **vars(best),
         mult=mult,
-        iterations=best.iterations,
-        converged=best.converged,
-        residual_rms=residual_rms(params, grid, u, mult),
-        symmetry=symmetry_report(u),
+        residual_rms=residual_rms(params, grid, best.u, mult),
+        symmetry=symmetry_report(best.u),
         starts_agreement=spread,
-        dual_c=best.dual_c,
-        dual_d=best.dual_d,
-        grad_norm=best.grad_norm,
-        merits=best.merits,
         start_runtimes=tuple(r.runtime for r in runs),
     )
 

@@ -66,11 +66,20 @@ def test_sweep_theta_outputs(tmp_path):
     assert [r.value for r in rows] == [0.2, 0.1]  # runs theta downward
     assert all(r.converged for r in rows)
     csv = (tmp_path / "sweep_theta.csv").read_text().splitlines()
+    # the column set the README documents
+    assert CSV_HEADER == (
+        "value,lambda,lambda_as,c,d,foliated_defect,antisym_defect,"
+        "even_defect,converged,runtime_s"
+    )
     assert csv[0] == CSV_HEADER
     assert len(csv) == 3
     manifest = json.loads((tmp_path / "sweep_theta_manifest.json").read_text())
     assert manifest["axis"] == "theta"
     assert len(manifest["rows"]) == 2
+    assert set(manifest["rows"][0]) == {
+        "value", "lambda", "lambda_as", "c", "d", "foliated_defect",
+        "antisym_defect", "even_defect", "converged", "starts_agreement",
+    }
     assert "runtime" not in json.dumps(manifest)
     assert extras["grid_tol"] > 0
 

@@ -279,6 +279,15 @@ def test_config_round_trip_and_strictness():
         config_from_dict(doc)
     with pytest.raises(ValueError, match="missing"):
         config_from_dict({"theta": 0.1})
+    # json reads NaN and Infinity; a strict config rejects them
+    for bad in (
+        '"F": {"kind": "power_law", "c0": NaN, "alpha": 1.2}, "p": 1.5',
+        '"F": {"kind": "power_law", "c0": 0.1, "alpha": NaN}, "p": 1.5',
+        '"p": Infinity',
+    ):
+        doc = '{"theta": 0.2, %s, "domain": {"kind": "disk", "r_outer": 1.0}}' % bad
+        with pytest.raises(ValueError, match="finite"):
+            config_from_json(doc)
 
 
 def test_config_defaults():

@@ -231,6 +231,30 @@ def test_dump_parse_round_trip_bit_identical():
     assert np.array_equal(back.values, fd.values)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    r_inner=st.sampled_from([0.0, 0.1, 0.5, 2.0]),
+    n_r=st.integers(2, 12),
+    n_a=st.sampled_from(range(4, 33, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dump_matches_per_node_reference(r_inner, n_r, n_a, seed):
+    dom = disk(1.0) if r_inner == 0.0 else annulus(r_inner, r_inner + 1.0)
+    g = build_polar_grid(dom, n_r, n_a)
+    rng = np.random.default_rng(seed)
+    # magnitudes from subnormal to near overflow, both signs, and zeros
+    vals = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-310, 307, g.shape)
+    vals[rng.random(g.shape) < 0.1] = 0.0
+    f = Field(g, vals)
+    d = g.domain
+    ref = [f"# {n_r} {n_a} {float(d.r_inner)!r} {float(d.r_outer)!r}"]
+    for i in range(n_r):
+        for j in range(n_a):
+            r, a, v = float(g.r_nodes[i]), float(g.a_nodes[j]), float(f.values[i, j])
+            ref.append(f"{r!r} {a!r} {v!r}")
+    assert dump_field(f) == "\n".join(ref) + "\n"
+
+
 def test_parse_rejects_malformed():
     with pytest.raises(ValueError, match="header"):
         parse_field("1 2 3\n")

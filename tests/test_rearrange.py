@@ -242,6 +242,16 @@ def test_report_defect_ranges_and_json():
     assert "axis_angle" in rep.to_json()
 
 
+def test_grid_half_planes_count_validation():
+    g = build_polar_grid(disk(1.0), 4, 16)
+    assert len(grid_half_planes(g, 8)) == 8
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="positive"):
+            grid_half_planes(g, bad)
+    with pytest.raises(ValueError, match="divide"):
+        grid_half_planes(g, 3)
+
+
 def all_grid_half_planes(grid):
     planes = [HalfPlane(k * grid.delta_a) for k in range(grid.n_a)]
     planes += list(grid_half_planes(grid))

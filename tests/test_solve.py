@@ -131,7 +131,13 @@ def test_solve_options_validation():
     for bad in (None, 5, "cold", np.zeros(g.shape)):
         with pytest.raises(ValueError, match="init"):
             SolveOptions(init=bad)
-    for kwargs in ({"max_iters": 0}, {"n_starts": 0}, {"grad_tol": 0.0}, {"subspace": "odd"}):
+    for kwargs in (
+        {"max_iters": 0},
+        {"n_starts": 0},
+        {"grad_tol": 0.0},
+        {"subspace": "odd"},
+        {"seed": -1},
+    ):
         with pytest.raises(ValueError):
             SolveOptions(**kwargs)
 
