@@ -414,38 +414,48 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
 
+    # a ValueError while the inputs are built from the flags is a usage
+    # error; one raised inside a solve is not
     if args.cmd in ("sweep-theta", "sweep-p"):
-        params, domain = _load_config(args.config)
-        values = tuple(float(v) for v in args.values.split(","))
-        spec = SweepSpec(
-            params_base=params,
-            domain=domain,
-            axis="theta" if args.cmd == "sweep-theta" else "p",
-            values=tuple(sorted(values)),
-            grid=args.grid,
-            opts=_build_opts(args),
-            out_dir=args.out,
-        )
+        try:
+            params, domain = _load_config(args.config)
+            values = tuple(float(v) for v in args.values.split(","))
+            spec = SweepSpec(
+                params_base=params,
+                domain=domain,
+                axis="theta" if args.cmd == "sweep-theta" else "p",
+                values=tuple(sorted(values)),
+                grid=args.grid,
+                opts=_build_opts(args),
+                out_dir=args.out,
+            )
+        except ValueError as exc:
+            ap.error(str(exc))
         rows, extras = run_sweep_theta(spec) if args.cmd == "sweep-theta" else run_sweep_p(spec)
         sys.stdout.write(_csv_text(rows))
         print(json.dumps(extras.get("flags", {}), sort_keys=True))
         return 0 if all(r.converged for r in rows) else 1
 
     if args.cmd == "check-foliated":
-        params, domain = _load_config(args.config)
+        try:
+            params, domain = _load_config(args.config)
+            opts = _build_opts(args)
+        except ValueError as exc:
+            ap.error(str(exc))
         dims = args.grid if args.grid else (96, 192)
-        out = run_check_foliated(
-            params, domain, dims, _build_opts(args), args.threshold, out_dir=args.out
-        )
+        out = run_check_foliated(params, domain, dims, opts, args.threshold, out_dir=args.out)
         print(json.dumps(out, sort_keys=True, indent=2))
         return 0 if out["passed"] else 1
 
     if args.cmd == "eig":
-        modes = [
-            neumann_mode(n, k, radius=args.radius)
-            for n in range(args.n_max + 1)
-            for k in range(1, args.k_max + 1)
-        ]
+        try:
+            modes = [
+                neumann_mode(n, k, radius=args.radius)
+                for n in range(args.n_max + 1)
+                for k in range(1, args.k_max + 1)
+            ]
+        except ValueError as exc:
+            ap.error(str(exc))
         modes.sort(key=lambda m: m.eigenvalue)
         if args.json:
             print(json.dumps([asdict(m) for m in modes], indent=2, sort_keys=True))

@@ -323,27 +323,24 @@ def _gauge_fix(grid: PolarGrid, vals: np.ndarray, antisym: bool) -> Field:
     f = Field(grid, vals)
     norm = weighted_l2(grid, vals)
     n_a = grid.n_a
+    # u and -u(-x) share energy, constraints and symmetry axis, and the
+    # eigenmode start is invariant under the swap, so roundoff decides which
+    # of the two a descent reaches; the flip rule below picks one.
     if antisym:
         # only rotations by 0 or pi preserve the anti-symmetric subspace;
         # take the one nearer the moment axis
         s0 = round(_moment_axis(f, norm) / grid.delta_a) % n_a
         out = rotate_field(f, 0 if min(s0, n_a - s0) <= abs(s0 - n_a // 2) else n_a // 2).values
-    else:
-        # the same rotation symmetry_report measures the defects in
-        _, out, _ = _align(f, norm)
-    # u and -u(-x) share energy, constraints and symmetry axis, and the
-    # eigenmode start is invariant under the swap, so roundoff decides which
-    # of the two a descent reaches.  In the full space keep the one whose
-    # outer-circle value at angle 0 outweighs the one at angle pi; in the
-    # anti-symmetric subspace those two cancel, so use the sign at angle 0.
-    if antisym:
-        flip = out[-1, 0] < 0.0
-    else:
-        flip = out[-1, 0] + out[-1, n_a // 2] < 0.0
-    if flip:
-        out = np.roll(-out, -(n_a // 2), axis=1)
-    if antisym:
+        # the outer-circle values at angles 0 and pi cancel: use the sign at 0
+        if out[-1, 0] < 0.0:
+            out = np.roll(-out, -(n_a // 2), axis=1)
         out = _antisym_project(grid, out)
+    else:
+        # the same rotation symmetry_report measures the defects in; keep the
+        # field whose outer-circle value at angle 0 outweighs the one at pi
+        _, out, _ = _align(f, norm)
+        if out[-1, 0] + out[-1, n_a // 2] < 0.0:
+            out = np.roll(-out, -(n_a // 2), axis=1)
     return Field(grid, out)
 
 

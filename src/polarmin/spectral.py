@@ -2,9 +2,8 @@
 
 Serves as an independent reference for the grid minimizer: eigenvalues come
 from roots of J_n', eigenfunctions are J_n(alpha r/R) times an angular
-harmonic.  Bessel values are computed from scratch (ascending series below
-x = 12, Miller's normalized downward recurrence above) so the reference
-shares no code path with the optimizer.
+harmonic.  J_n and the roots of J_n' come from scipy.special, so the
+reference shares no code with the finite-difference solver.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Literal
 
 import numpy as np
+import scipy.special
 
 from .grids import Field, PolarGrid
 
@@ -27,65 +27,14 @@ __all__ = [
     "eigenfield",
 ]
 
-_SERIES_SPLIT = 12.0
-
-
-def _bessel_series(n: int, x: float) -> float:
-    # ascending series sum_m (-1)^m (x/2)^{n+2m} / (m! (n+m)!)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    half = 0.5 * x
-    term = math.exp(n * math.log(half) - math.lgamma(n + 1))
-    total = term
-    q = half * half
-    for m in range(1, 300):
-        term *= -q / (m * (n + m))
-        total += term
-        if abs(term) <= 1e-17 * max(abs(total), 1e-3):
-            break
-    return total
-
-
-def _bessel_miller(n: int, x: float) -> float:
-    # downward three-term recurrence, normalized by J_0 + 2*sum J_{2k} = 1
-    start = int(x + 12.0 * x ** (1.0 / 3.0) + 42.0)
-    start += start % 2  # even start simplifies the normalization sum
-    start = max(start, n + 20)
-    jp = 0.0
-    jc = 1e-30
-    norm = 0.0
-    target = 0.0
-    for m in range(start, 0, -1):
-        jm = (2.0 * m / x) * jc - jp
-        jp = jc
-        jc = jm
-        if m - 1 == n:
-            target = jc
-        if (m - 1) % 2 == 0 and m - 1 > 0:
-            norm += 2.0 * jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            target *= 1e-250
-    norm += jc  # J_0 term
-    if n == 0:
-        target = jc
-    return target / norm
-
 
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind, integer order n >= 0, x >= 0.
-
-    Accurate to ~1e-12 absolute on [0, 1e3].
-    """
+    """Bessel function of the first kind, integer order n >= 0, x in [0, 1e3]."""
     if n < 0:
         raise ValueError("order must be >= 0")
     if not 0.0 <= x <= 1e3:
         raise ValueError("argument must lie in [0, 1e3]")
-    if x <= _SERIES_SPLIT:
-        return _bessel_series(n, x)
-    return _bessel_miller(n, x)
+    return float(scipy.special.jv(n, x))
 
 
 def bessel_j_prime(n: int, x: float) -> float:
@@ -95,61 +44,11 @@ def bessel_j_prime(n: int, x: float) -> float:
     return 0.5 * (bessel_j(n - 1, x) - bessel_j(n + 1, x))
 
 
-def _mcmahon_seed(n: int, k: int) -> float:
-    # Asymptotic location of the k-th positive stationary point of J_n.
-    # For n = 0 these are the zeros of J_1.
-    if n == 0:
-        beta = (k + 0.25) * math.pi
-        mu = 4.0
-        return beta - (mu - 1.0) / (8.0 * beta)
-    beta = (k + 0.5 * n - 0.75) * math.pi
-    mu = 4.0 * n * n
-    return beta - (mu + 3.0) / (8.0 * beta)
-
-
 def neumann_root(n: int, k: int) -> float:
-    """k-th positive root of J_n' (n >= 0, k >= 1), by scan + bisection.
-
-    The scan window starts below the first stationary point (which lies
-    above n) and steps by a fraction of the asymptotic root spacing, so
-    every sign change brackets exactly one simple root.
-    """
+    """k-th positive root of J_n' (0 <= n <= 16, 1 <= k <= 16)."""
     if not (0 <= n <= 16 and 1 <= k <= 16):
         raise ValueError("supported range is n <= 16, k <= 16")
-    lo = 0.05 if n == 0 else max(0.05, 0.75 * n)
-    hi_guess = _mcmahon_seed(n, k) + math.pi
-    step = math.pi / 8.0
-    roots_found = 0
-    f_lo = bessel_j_prime(n, lo)
-    x = lo
-    while x < hi_guess + 8.0 * math.pi:
-        x_next = x + step
-        f_next = bessel_j_prime(n, x_next)
-        if f_lo == 0.0:
-            roots_found += 1
-            if roots_found == k:
-                return x
-        elif f_lo * f_next < 0.0:
-            roots_found += 1
-            if roots_found == k:
-                return _bisect(n, x, x_next, f_lo)
-        x, f_lo = x_next, f_next
-    raise RuntimeError(f"failed to bracket root {k} of J_{n}'")
-
-
-def _bisect(n: int, lo: float, hi: float, f_lo: float) -> float:
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-13 * max(1.0, mid):
-            return mid
-        f_mid = bessel_j_prime(n, mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return float(scipy.special.jnp_zeros(n, k)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -191,7 +90,7 @@ def eigenfield(mode: NeumannMode, grid: PolarGrid) -> Field:
     expected = (mode.alpha_nk / radius) ** 2
     if not math.isclose(expected, mode.eigenvalue, rel_tol=1e-12):
         raise ValueError("mode radius does not match grid radius")
-    radial = np.array([bessel_j(mode.n, mode.alpha_nk * r / radius) for r in grid.r_nodes])
+    radial = scipy.special.jv(mode.n, mode.alpha_nk * grid.r_nodes / radius)
     if mode.parity == "cos":
         angular = np.cos(mode.n * grid.a_nodes)
     else:

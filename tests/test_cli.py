@@ -176,6 +176,27 @@ def test_cli_eig(capsys):
     assert any(abs(m["alpha_nk"] - 1.8411837813) < 1e-9 for m in data)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-p", "--seed", "-1", "--values", "2"], "seed must be nonnegative"),
+        (["sweep-p", "--starts", "0", "--values", "2"], "n_starts must be positive"),
+        (["sweep-p", "--config", "{cfg}", "--values", "2"], "p must be finite"),
+        (["eig", "--n-max", "17"], "supported range is n <= 16"),
+    ],
+    ids=["seed", "starts", "config", "eig"],
+)
+def test_cli_rejected_input_is_usage_error(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"theta": 0.1, "p": Infinity, "domain": {"kind": "disk"}}')
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cfg=cfg) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: polarmin" in err
+    assert message in err
+
+
 def test_cli_rearrange_round_trip(tmp_path, capsys):
     g = build_polar_grid(disk(1.0), 4, 8)
     f = smooth_field(g, 3)

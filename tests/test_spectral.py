@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -22,7 +23,7 @@ def test_bessel_at_zero():
 
 
 def test_bessel_first_j0_zero_by_bisection():
-    # independent oracle: bisect the implemented series on [2, 3]
+    # independent oracle: bisect the implemented J_0 on [2, 3]
     lo, hi = 2.0, 3.0
     flo = bessel_j(0, lo)
     assert flo > 0 > bessel_j(0, hi)
@@ -93,6 +94,16 @@ def test_roots_full_table():
             prev = a
 
 
+def test_roots_against_mpmath():
+    # mpmath counts the trivial stationary point x = 0 of J_0 as its first
+    with mpmath.workdps(30):
+        for n, k in ((0, 1), (1, 1), (1, 6), (6, 4), (0, 16), (16, 1), (16, 16)):
+            ref = mpmath.besseljzero(n, k + (n == 0), derivative=1)
+            assert abs(neumann_root(n, k) - ref) <= 1e-14 * ref
+        ref = mpmath.besseljzero(1, 1, derivative=1) ** 2
+        assert abs(neumann_mode(1, 1).eigenvalue - ref) <= 1e-14 * ref
+
+
 def test_root_range_errors():
     with pytest.raises(ValueError):
         neumann_root(17, 1)
@@ -110,6 +121,18 @@ def test_eigenfield_symmetry_and_normalization():
     assert rep.foliated_defect <= 1e-8
     assert rep.even_defect <= 1e-8
     assert rep.antisym_defect <= 1e-8
+
+
+def test_eigenfield_node_values():
+    radius = 1.5
+    g = build_polar_grid(disk(radius), 6, 12)
+    for n, k, parity in ((0, 2, "cos"), (1, 1, "cos"), (2, 1, "sin")):
+        mode = neumann_mode(n, k, radius=radius, parity=parity)
+        angular = np.cos(n * g.a_nodes) if parity == "cos" else np.sin(n * g.a_nodes)
+        radial = [bessel_j(n, mode.alpha_nk * r / radius) for r in g.r_nodes]
+        vals = np.outer(radial, angular)
+        vals /= math.sqrt(integrate(g, Field(g, vals**2)))
+        assert np.max(np.abs(eigenfield(mode, g).values - vals)) <= 1e-14
 
 
 def test_eigenfield_rayleigh_quotient():
