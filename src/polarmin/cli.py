@@ -32,6 +32,7 @@ from .functional import (
 )
 from .grids import (
     RadialDomain,
+    _check_dims,
     build_polar_grid,
     disk,
     dump_field,
@@ -359,9 +360,14 @@ def run_check_foliated(
 def _parse_grid(text: str) -> tuple:
     try:
         a, b = text.lower().split("x")
-        return (int(a), int(b))
+        dims = (int(a), int(b))
     except Exception as exc:
         raise argparse.ArgumentTypeError("grid must look like 96x192") from exc
+    try:
+        _check_dims(*dims)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return dims
 
 
 def _load_config(path: str | None):

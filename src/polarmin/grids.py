@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Callable, Literal
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = [
@@ -120,69 +121,35 @@ class PolarGrid:
     def _radial_diff(self) -> sp.csr_matrix:
         """Sparse radial derivative: central in the interior, one-sided at
         the radial boundaries, pole-transparent (neighbor at angle a+pi) on
-        the innermost disk ring."""
+        the innermost disk ring.  A 1-D stencil in r times the identity in
+        angle, plus the pole term on the disk."""
         n_r, n_a = self.n_r, self.n_a
         dr = self.delta_r
-        rows, cols, vals = [], [], []
-
-        def nid(i, j):
-            return i * n_a + (j % n_a)
-
-        jj = np.arange(n_a)
-        # interior rings: central
-        for i in range(1, n_r - 1):
-            rows.append(nid(i, jj))
-            cols.append(nid(i + 1, jj))
-            vals.append(np.full(n_a, 0.5 / dr))
-            rows.append(nid(i, jj))
-            cols.append(nid(i - 1, jj))
-            vals.append(np.full(n_a, -0.5 / dr))
-        # outer ring: one-sided
-        rows.append(nid(n_r - 1, jj))
-        cols.append(nid(n_r - 1, jj))
-        vals.append(np.full(n_a, 1.0 / dr))
-        rows.append(nid(n_r - 1, jj))
-        cols.append(nid(n_r - 2, jj))
-        vals.append(np.full(n_a, -1.0 / dr))
-        # inner ring
+        main = np.zeros(n_r)
+        sub = np.full(n_r - 1, -0.5 / dr)
+        sup = np.full(n_r - 1, 0.5 / dr)
+        main[-1], sub[-1] = 1.0 / dr, -1.0 / dr
+        if self.domain.kind == "annulus":
+            main[0], sup[0] = -1.0 / dr, 1.0 / dr
+        mat = sp.kron(sp.diags([sub, main, sup], [-1, 0, 1]), sp.identity(n_a))
         if self.domain.kind == "disk":
-            rows.append(nid(0, jj))
-            cols.append(nid(1, jj))
-            vals.append(np.full(n_a, 0.5 / dr))
-            rows.append(nid(0, jj))
-            cols.append(nid(0, jj + n_a // 2))
-            vals.append(np.full(n_a, -0.5 / dr))
-        else:
-            rows.append(nid(0, jj))
-            cols.append(nid(1, jj))
-            vals.append(np.full(n_a, 1.0 / dr))
-            rows.append(nid(0, jj))
-            cols.append(nid(0, jj))
-            vals.append(np.full(n_a, -1.0 / dr))
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        return mat.tocsr()
+            ring0 = sp.coo_matrix(([1.0], ([0], [0])), shape=(n_r, n_r))
+            half = n_a // 2
+            antipode = sp.diags([-0.5 / dr, -0.5 / dr], [-half, half], shape=(n_a, n_a))
+            mat = mat + sp.kron(ring0, antipode)
+        mat = mat.tocsr()
+        mat.eliminate_zeros()
+        return mat
 
     @cached_property
     def _angular_fwd_diff(self) -> sp.csr_matrix:
-        """Sparse forward angular edge difference (f_{j+1} - f_j)/(r*da)."""
-        n_r, n_a = self.n_r, self.n_a
-        da = self.delta_a
-        ii = np.repeat(np.arange(n_r), n_a)
-        jj = np.tile(np.arange(n_a), n_r)
-        k = ii * n_a + jj
-        k_next = ii * n_a + (jj + 1) % n_a
-        coef = 1.0 / (self.r_nodes[ii] * da)
-        mat = sp.coo_matrix(
-            (
-                np.concatenate([coef, -coef]),
-                (np.concatenate([k, k]), np.concatenate([k_next, k])),
-            ),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        return mat.tocsr()
+        """Sparse forward angular edge difference (f_{j+1} - f_j)/(r*da):
+        a per-ring scale times the periodic 1-D difference in angle."""
+        n_a = self.n_a
+        step = sp.diags([-1.0, 1.0, 1.0], [0, 1, 1 - n_a], shape=(n_a, n_a))
+        mat = sp.kron(sp.diags(1.0 / (self.r_nodes * self.delta_a)), step).tocsr()
+        mat.eliminate_zeros()
+        return mat
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
@@ -199,37 +166,37 @@ class PolarGrid:
         The operator commutes with rotation by one angular cell, so an
         angular DFT splits it into one SPD pentadiagonal radial system per
         Fourier mode (on the disk the pole coupling contributes (-1)^m).
-        Each is factored once by a banded Cholesky.  The returned callable
-        takes a vector of length n_nodes or an (n_nodes, k) array of
-        columns and returns the solution in the same shape.
+        Stacked mode after mode they form one banded SPD matrix, factored
+        once by LAPACK's banded Cholesky.  The returned callable takes a
+        vector of length n_nodes or an (n_nodes, k) array of columns and
+        returns the solution in the same shape.
         """
-        inv, l1, l2 = _banded_cholesky(*_radial_bands(self))
+        a0, a1, a2 = (band.T.ravel() for band in _radial_bands(self))
+        # upper band storage; a1, a2 vanish past each mode's last ring, so
+        # no entry couples two modes.  Complex, so the spectrum goes through
+        # LAPACK as it is: k columns, not the 2k of its real view.  Fortran
+        # order, so LAPACK factors it in place.
+        ab = np.zeros((3, a0.size), dtype=complex, order="F")
+        ab[2], ab[1, 1:], ab[0, 2:] = a0, a1[:-1], a2[:-2]
+        try:
+            factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True)
+        except np.linalg.LinAlgError:
+            raise ValueError("H1 metric is not positive definite") from None
         n_r, n_a = self.n_r, self.n_a
-        # substitution coefficients with the pivot division folded in
-        fwd1, fwd2 = list(l1[:n_r] * inv), list(l2[:n_r] * inv)
-        bwd1, bwd2 = list(l1[1 : n_r + 1] * inv), list(l2[2:] * inv)
+        n_m = n_a // 2 + 1
 
         def solve(b: np.ndarray) -> np.ndarray:
             cols = b.reshape(self.n_nodes, -1).T
             k = cols.shape[0]
             spec = np.fft.rfft(cols.reshape(k, n_r, n_a), axis=2)
-            # ring i at y[i + 2], two zero rings of padding at each end; the
-            # real view puts (column, re/im) last so each ring row is one
-            # real (n_modes, 2k) block scaled per mode
-            y = np.zeros((n_r + 4, n_a // 2 + 1, k), dtype=complex)
-            y[2:-2] = spec.transpose(1, 2, 0) * inv
-            rows = list(y.view(float))
-            tmp = np.empty_like(rows[0])
-            for i in range(n_r):
-                yi = rows[i + 2]
-                np.subtract(yi, np.multiply(fwd1[i], rows[i + 1], out=tmp), out=yi)
-                np.subtract(yi, np.multiply(fwd2[i], rows[i], out=tmp), out=yi)
-            y[2:-2] *= inv
-            for i in range(n_r - 1, -1, -1):
-                xi = rows[i + 2]
-                np.subtract(xi, np.multiply(bwd1[i], rows[i + 3], out=tmp), out=xi)
-                np.subtract(xi, np.multiply(bwd2[i], rows[i + 4], out=tmp), out=xi)
-            x = np.fft.irfft(y[2:-2].transpose(2, 0, 1), n=n_a, axis=2)
+            # unknown m * n_r + i, one column per input column, in the
+            # Fortran order LAPACK solves in place
+            rhs = np.ascontiguousarray(spec.transpose(0, 2, 1)).reshape(k, -1).T
+            x = scipy.linalg.cho_solve_banded(
+                (factor, False), rhs, overwrite_b=True, check_finite=False
+            )
+            spec = x.T.reshape(k, n_m, n_r).transpose(0, 2, 1)
+            x = np.fft.irfft(spec, n=n_a, axis=2)
             return x.reshape(k, self.n_nodes).T.reshape(b.shape)
 
         return solve
@@ -259,28 +226,6 @@ def _radial_bands(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bands[:, 2], bands[:, 3], bands[:, 4]
 
 
-def _banded_cholesky(a0, a1, a2):
-    """Cholesky factors L of the pentadiagonal SPD matrices with diagonal
-    a0[i], superdiagonals a1[i] = B[i, i+1] and a2[i] = B[i, i+2], for every
-    trailing column at once.  Returns 1/L[i, i], and L[i, i-1], L[i, i-2]
-    zero-padded to n_r + 2 rows so the substitutions need no edge cases.
-    Each returned array carries a trailing unit axis for broadcasting."""
-    n_r = a0.shape[0]
-    l0 = np.empty_like(a0)
-    l1 = np.zeros((n_r + 2,) + a0.shape[1:])
-    l2 = np.zeros((n_r + 2,) + a0.shape[1:])
-    for i in range(n_r):
-        if i >= 2:
-            l2[i] = a2[i - 2] / l0[i - 2]
-        if i >= 1:
-            l1[i] = (a1[i - 1] - l2[i] * l1[i - 1]) / l0[i - 1]
-        pivot = a0[i] - l1[i] ** 2 - l2[i] ** 2
-        if np.any(pivot <= 0.0):
-            raise ValueError("H1 metric is not positive definite")
-        l0[i] = np.sqrt(pivot)
-    return (1.0 / l0)[..., None], l1[..., None], l2[..., None]
-
-
 @dataclass(frozen=True, eq=False)
 class Field:
     """Real-valued grid function, immutable once built."""
@@ -301,6 +246,13 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
+def _check_dims(n_r: int, n_a: int) -> None:
+    if n_a % 4 != 0 or n_a <= 0:
+        raise ValueError("n_a must be divisible by 4")
+    if n_r < 2 or n_a < 4:
+        raise ValueError("grid needs n_r >= 2 and n_a >= 4")
+
+
 def build_polar_grid(domain: RadialDomain, n_r: int, n_a: int) -> PolarGrid:
     """Build the polar tensor mesh.
 
@@ -308,10 +260,7 @@ def build_polar_grid(domain: RadialDomain, n_r: int, n_a: int) -> PolarGrid:
     nodes.  Recommended resolutions are n_r >= 4, n_a >= 8; smaller meshes
     (n_r >= 2, n_a >= 4) are allowed for exact small-case checks.
     """
-    if n_a % 4 != 0 or n_a <= 0:
-        raise ValueError("n_a must be divisible by 4")
-    if n_r < 2 or n_a < 4:
-        raise ValueError("grid needs n_r >= 2 and n_a >= 4")
+    _check_dims(n_r, n_a)
     dr = (domain.r_outer - domain.r_inner) / n_r
     r_nodes = domain.r_inner + (np.arange(n_r) + 0.5) * dr
     a_nodes = 2.0 * math.pi * np.arange(n_a) / n_a

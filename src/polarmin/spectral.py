@@ -74,6 +74,8 @@ def neumann_mode(n: int, k: int, radius: float = 1.0, parity: str = "cos") -> Ne
         raise ValueError("parity must be 'cos' or 'sin'")
     if parity == "sin" and n == 0:
         raise ValueError("sin parity requires n >= 1")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError("radius must be finite and > 0")
     alpha = neumann_root(n, k)
     return NeumannMode(n=n, k=k, alpha_nk=alpha, eigenvalue=(alpha / radius) ** 2, parity=parity)
 

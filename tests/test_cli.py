@@ -183,8 +183,15 @@ def test_cli_eig(capsys):
         (["sweep-p", "--starts", "0", "--values", "2"], "n_starts must be positive"),
         (["sweep-p", "--config", "{cfg}", "--values", "2"], "p must be finite"),
         (["eig", "--n-max", "17"], "supported range is n <= 16"),
+        (["eig", "--radius", "0"], "radius must be finite and > 0"),
+        (["eig", "--radius", "-2", "--n-max", "0", "--k-max", "1"], "radius must be finite and > 0"),
+        (["eig", "--radius", "nan"], "radius must be finite and > 0"),
+        (["check-foliated", "--grid", "1x2"], "n_a must be divisible by 4"),
+        (["sweep-p", "--grid", "1x2", "--values", "2"], "n_a must be divisible by 4"),
+        (["sweep-theta", "--grid", "8x6", "--values", "0.1"], "n_a must be divisible by 4"),
     ],
-    ids=["seed", "starts", "config", "eig"],
+    ids=["seed", "starts", "config", "eig", "radius-zero", "radius-negative", "radius-nan",
+         "grid-check-foliated", "grid-sweep-p", "grid-sweep-theta"],
 )
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, argv, message):
     cfg = tmp_path / "cfg.json"

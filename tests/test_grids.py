@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
+from polarmin import grids
 from polarmin.grids import (
     Field,
     annulus,
@@ -84,9 +85,11 @@ def test_grad_sq_constant_is_zero():
     assert np.max(np.abs(gs)) == 0.0
 
 
-def test_grad_sq_coordinate_function():
-    # f = x1 has |grad f|^2 = 1 everywhere
-    g = build_polar_grid(annulus(0.5, 1.0), 128, 256)
+@pytest.mark.parametrize("domain", [annulus(0.5, 1.0), disk(1.0)], ids=["annulus", "disk"])
+def test_grad_sq_coordinate_function(domain):
+    # f = x1 has |grad f|^2 = 1 everywhere; on the disk the innermost ring
+    # differences across the pole, against the antipodal node
+    g = build_polar_grid(domain, 128, 256)
     f = Field(g, g.r_nodes[:, None] * np.cos(g.a_nodes)[None, :])
     gs = grad_sq(g, f).values
     assert np.max(np.abs(gs - 1.0)) <= 1e-3
@@ -200,6 +203,22 @@ def test_h1_solve_matches_sparse_direct_solve(r_inner, n_r, n_a, columns, seed):
     x = g.h1_solve(b)
     assert x.shape == b.shape
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_h1_solve_rejects_indefinite_metric(monkeypatch):
+    bands = grids._radial_bands
+
+    def one_negative_diagonal(grid):
+        a0, a1, a2 = bands(grid)
+        a0 = a0.copy()
+        a0[3, 2] = -1.0
+        return a0, a1, a2
+
+    monkeypatch.setattr(grids, "_radial_bands", one_negative_diagonal)
+    # LAPACK's LinAlgError is a ValueError too; the metric's own error is wanted
+    with pytest.raises(ValueError, match="H1 metric is not positive definite") as exc:
+        build_polar_grid(disk(1.0), 8, 16).h1_solve
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
 def test_field_validation():

@@ -111,6 +111,12 @@ def test_root_range_errors():
         neumann_root(1, 0)
 
 
+@pytest.mark.parametrize("radius", [0.0, -2.0, math.nan, math.inf])
+def test_mode_rejects_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius"):
+        neumann_mode(1, 1, radius=radius)
+
+
 def test_eigenfield_symmetry_and_normalization():
     g = build_polar_grid(disk(1.0), 64, 128)
     mode = neumann_mode(1, 1)
