@@ -27,7 +27,6 @@ from .functional import (
     config_to_dict,
     eval_objective,
     lp_norm,
-    mean_constraint,
     zero_f,
 )
 from .grids import (
@@ -36,6 +35,7 @@ from .grids import (
     build_polar_grid,
     disk,
     dump_field,
+    integrate,
     parse_field,
     reflect_field,
 )
@@ -61,6 +61,8 @@ __all__ = [
 
 DEFAULT_THETA_VALUES = (0.02, 0.05, 0.10, 0.20, 0.30)
 DEFAULT_P_VALUES = (2.0, 4.0, 8.0, 16.0, 24.0, 32.0)
+# check-foliated passes only a minimizer whose foliated defect is at most this
+FOLIATED_DEFECT_THRESHOLD = 5e-2
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in ("theta", "p"):
             raise ValueError("axis must be 'theta' or 'p'")
+        if self.domain.kind != "disk":
+            raise ValueError(f"{self.axis} sweep is posed on the disk")
+        base = self.params_base
+        if self.axis == "theta" and (base.p != 2.0 or base.f_spec.kind != "zero"):
+            raise ValueError("theta sweep is posed at p = 2 with F = 0")
         vals = tuple(float(v) for v in self.values)
         if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("values must be nonempty and strictly increasing")
@@ -157,13 +164,13 @@ def _csv_text(rows: list) -> str:
     return "\n".join([CSV_HEADER] + [r.to_csv() for r in rows]) + "\n"
 
 
-def _validate_result(params, grid, res: MinimizeResult) -> None:
+def _validate_result(params, res: MinimizeResult) -> None:
     # re-check the result invariants before a row is written
-    if abs(mean_constraint(grid, res.u)) > 1e-6:
+    if abs(integrate(res.u)) > 1e-6:
         raise RuntimeError("row validation failed: nonzero mean")
-    if abs(lp_norm(grid, res.u, params.p) - 1.0) > 1e-6:
+    if abs(lp_norm(res.u, params.p) - 1.0) > 1e-6:
         raise RuntimeError("row validation failed: norm constraint")
-    if res.lam != eval_objective(params, grid, res.u):
+    if res.lam != eval_objective(params, res.u):
         raise RuntimeError("row validation failed: stale objective value")
 
 
@@ -220,10 +227,6 @@ def run_sweep_theta(spec: SweepSpec) -> tuple[list, dict]:
     row from the previous minimizer.  Returns (rows, manifest_extras)."""
     if spec.axis != "theta":
         raise ValueError("theta sweep requires axis 'theta'")
-    if spec.params_base.p != 2.0 or spec.params_base.f_spec.kind != "zero":
-        raise ValueError("theta sweep is posed at p = 2 with F = 0")
-    if spec.domain.kind != "disk":
-        raise ValueError("theta sweep is posed on the disk")
     rows = []
     warm = None
     for value in sorted(spec.values, reverse=True):
@@ -231,7 +234,7 @@ def run_sweep_theta(spec: SweepSpec) -> tuple[list, dict]:
         grid = build_polar_grid(spec.domain, *spec.grid_for(value))
         t0 = time.perf_counter()
         res = minimize(params, grid, _warm(spec.opts, warm, grid))
-        _validate_result(params, grid, res)
+        _validate_result(params, res)
         rows.append(_row_from(value, res, None, time.perf_counter() - t0))
         warm = res.u
     grid_tol = _estimate_grid_tol(spec, rows)
@@ -274,8 +277,6 @@ def run_sweep_p(spec: SweepSpec) -> tuple[list, dict]:
     onset: the smallest p whose gap exceeds 3 * grid_tol."""
     if spec.axis != "p":
         raise ValueError("p sweep requires axis 'p'")
-    if spec.domain.kind != "disk":
-        raise ValueError("p sweep is posed on the disk")
     rows = []
     competitor_objectives = {}
     warm_full = warm_as = None
@@ -285,14 +286,14 @@ def run_sweep_p(spec: SweepSpec) -> tuple[list, dict]:
         t0 = time.perf_counter()
         res_as = minimize_antisymmetric(params, grid, _warm(spec.opts, warm_as, grid))
         warm_as = res_as.u
-        competitor = build_half_support_competitor(res_as.u, grid, params)
-        competitor_objectives[value] = eval_objective(params, grid, competitor)
+        competitor = build_half_support_competitor(res_as.u, params)
+        competitor_objectives[value] = eval_objective(params, competitor)
         res_full = minimize(params, grid, _warm(spec.opts, warm_full, grid))
         res_comp = minimize(params, grid, replace(spec.opts, init=competitor, n_starts=1))
         if res_comp.converged and (not res_full.converged or res_comp.lam < res_full.lam):
             res_full = res_comp
         warm_full = res_full.u
-        _validate_result(params, grid, res_full)
+        _validate_result(params, res_full)
         rows.append(_row_from(value, res_full, res_as.lam, time.perf_counter() - t0))
     grid_tol = _estimate_grid_tol(spec, rows)
     onset = None
@@ -324,14 +325,13 @@ def run_check_foliated(
     domain: RadialDomain,
     grid_dims: tuple,
     opts: SolveOptions,
-    threshold: float = 5e-2,
     out_dir: str | None = None,
 ) -> dict:
     """Minimize, certify, and report the symmetry of the minimizer.  The
-    returned dict carries 'passed' = converged, foliated defect under the
-    threshold, and certification checks green.  With out_dir set, writes
-    the report JSON and the gauge-fixed minimizer in the field dump
-    format."""
+    returned dict carries 'passed' = converged, foliated defect at most
+    FOLIATED_DEFECT_THRESHOLD, and certification checks green.  With
+    out_dir set, writes the report JSON and the gauge-fixed minimizer in
+    the field dump format."""
     grid = build_polar_grid(domain, *grid_dims)
     res = minimize(params, grid, opts)
     out = {
@@ -343,9 +343,11 @@ def run_check_foliated(
         out["passed"] = False
         out["reason"] = "solver did not converge"
     else:
-        record = certify(res, params, grid)
+        record = certify(res, params)
         out["certification"] = record.to_dict()
-        out["passed"] = bool(record.passed and res.symmetry.foliated_defect <= threshold)
+        out["passed"] = bool(
+            record.passed and res.symmetry.foliated_defect <= FOLIATED_DEFECT_THRESHOLD
+        )
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
@@ -402,7 +404,6 @@ def main(argv=None) -> int:
 
     cf = sub.add_parser("check-foliated", help="minimize and check foliated symmetry")
     _add_common(cf)
-    cf.add_argument("--threshold", type=float, default=5e-2)
 
     eg = sub.add_parser("eig", help="print the disk Neumann mode table")
     eg.add_argument("--n-max", type=int, default=4)
@@ -449,7 +450,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             ap.error(str(exc))
         dims = args.grid if args.grid else (96, 192)
-        out = run_check_foliated(params, domain, dims, opts, args.threshold, out_dir=args.out)
+        out = run_check_foliated(params, domain, dims, opts, out_dir=args.out)
         print(json.dumps(out, sort_keys=True, indent=2))
         return 0 if out["passed"] else 1
 

@@ -18,13 +18,9 @@ import numpy as np
 
 from .grids import (
     Field,
-    PolarGrid,
     RadialDomain,
-    annulus,
-    disk,
     dirichlet_energy,
     grad_sq,
-    integrate,
     laplacian,
 )
 
@@ -39,7 +35,6 @@ __all__ = [
     "phi",
     "phi_prime",
     "eval_objective",
-    "mean_constraint",
     "lp_norm",
     "g_term",
     "m_term",
@@ -171,14 +166,10 @@ def phi_prime(eta, theta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def mean_constraint(grid: PolarGrid, v: Field) -> float:
-    return integrate(grid, v)
-
-
-def lp_norm(grid: PolarGrid, v: Field, p: float) -> float:
+def lp_norm(v: Field, p: float) -> float:
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    return float(np.sum(grid.w * np.abs(v.values) ** p)) ** (1.0 / p)
+    return float(np.sum(v.grid.w * np.abs(v.values) ** p)) ** (1.0 / p)
 
 
 def _f_over_weight(params: ProblemParams, v: np.ndarray) -> np.ndarray:
@@ -190,13 +181,13 @@ def _f_over_weight(params: ProblemParams, v: np.ndarray) -> np.ndarray:
     return -f.c0 * av**f.alpha / (1.0 + av) ** (2.0 * params.theta)
 
 
-def eval_objective(params: ProblemParams, grid: PolarGrid, v: Field) -> float:
+def eval_objective(params: ProblemParams, v: Field) -> float:
     """Energy of v: Dirichlet energy of psi(v) minus the quadrature of
     F(r, v)/(1+|v|)^{2 theta}."""
     U = psi(v.values, params.theta)
-    val = dirichlet_energy(grid, U)
+    val = dirichlet_energy(v.grid, U)
     if params.f_spec.kind != "zero":
-        val -= float(np.sum(grid.w * _f_over_weight(params, v.values)))
+        val -= float(np.sum(v.grid.w * _f_over_weight(params, v.values)))
     return val
 
 
@@ -230,17 +221,16 @@ def m_term(t, params: ProblemParams):
 
 
 def n_term(r, t, params: ProblemParams, c: float):
-    """(g(r, t) - c) (1 + |phi(t)|)^theta."""
+    """(g(r, phi(t)) - c) (1 + |phi(t)|)^theta."""
     u = phi(t, params.theta)
-    out = (g_term(r, t, params) - c) * (1.0 + np.abs(u)) ** params.theta
+    out = (g_term(r, u, params) - c) * (1.0 + np.abs(u)) ** params.theta
     return float(out) if np.ndim(out) == 0 else out
 
 
-def euler_residual(
-    params: ProblemParams, grid: PolarGrid, u: Field, mult: Multipliers
-) -> Field:
+def euler_residual(params: ProblemParams, u: Field, mult: Multipliers) -> Field:
     """Pointwise residual of the substituted stationarity equation
     -lap U + d M(U) - N(|x|, U) with U = psi(u)."""
+    grid = u.grid
     U = psi(u.values, params.theta)
     res = (
         -laplacian(grid, U)
@@ -258,15 +248,14 @@ def signed_power(u: np.ndarray, p: float, delta: float = 0.0) -> np.ndarray:
     return u * (u * u + delta * delta) ** (0.5 * (p - 2.0))
 
 
-def multipliers_from_identities(
-    params: ProblemParams, grid: PolarGrid, u: Field
-) -> Multipliers:
+def multipliers_from_identities(params: ProblemParams, u: Field) -> Multipliers:
     """Recover the constraint duals from the integral identities obtained by
     testing the stationarity equation with 1 (for c) and with u (for d)."""
     theta = params.theta
+    grid = u.grid
     uv = u.values
     au = np.abs(uv)
-    gs = grad_sq(grid, u).values
+    gs = grad_sq(u).values
     g = g_term(grid.r_nodes[:, None], uv, params)
     denom = (1.0 + au) ** (2.0 * theta + 1.0)
     d = float(
@@ -298,6 +287,18 @@ def config_to_dict(params: ProblemParams, domain: RadialDomain) -> dict:
     }
 
 
+def _number(doc: dict, key: str, default: float | None = None) -> float:
+    """doc[key] as a float; an absent key takes the default, if there is one."""
+    if key not in doc:
+        if default is None:
+            raise ValueError(f"missing configuration value {key!r}")
+        return default
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"configuration value {key!r} must be a number, not {value!r}")
+    return float(value)
+
+
 def config_from_dict(doc: dict) -> tuple[ProblemParams, RadialDomain]:
     if not isinstance(doc, dict):
         raise ValueError("configuration must be a JSON object")
@@ -310,20 +311,17 @@ def config_from_dict(doc: dict) -> tuple[ProblemParams, RadialDomain]:
     fdoc = doc.get("F", {"kind": "zero"})
     if not isinstance(fdoc, dict) or set(fdoc) - _F_KEYS or "kind" not in fdoc:
         raise ValueError("malformed F specification")
-    f = FSpec(fdoc["kind"], c0=float(fdoc.get("c0", 0.0)), alpha=float(fdoc.get("alpha", 0.0)))
+    f = FSpec(fdoc["kind"], c0=_number(fdoc, "c0", 0.0), alpha=_number(fdoc, "alpha", 0.0))
     ddoc = doc["domain"]
     if not isinstance(ddoc, dict) or set(ddoc) - _DOMAIN_KEYS or "kind" not in ddoc:
         raise ValueError("malformed domain specification")
-    if ddoc["kind"] == "disk":
-        dom = disk(float(ddoc.get("r_outer", 1.0)))
-        if float(ddoc.get("r_inner", 0.0)) != 0.0:
-            raise ValueError("disk requires r_inner = 0")
-    elif ddoc["kind"] == "annulus":
-        dom = annulus(float(ddoc["r_inner"]), float(ddoc["r_outer"]))
-    else:
-        raise ValueError(f"unknown domain kind {ddoc['kind']!r}")
-    q = float(doc["q"]) if "q" in doc and doc["q"] is not None else None
-    params = ProblemParams(theta=float(doc["theta"]), p=float(doc["p"]), q=q, f_spec=f)
+    # a disk defaults to the unit disk; an annulus states both radii
+    r_in, r_out = (0.0, 1.0) if ddoc["kind"] == "disk" else (None, None)
+    dom = RadialDomain(
+        ddoc["kind"], _number(ddoc, "r_inner", r_in), _number(ddoc, "r_outer", r_out)
+    )
+    q = _number(doc, "q") if doc.get("q") is not None else None
+    params = ProblemParams(theta=_number(doc, "theta"), p=_number(doc, "p"), q=q, f_spec=f)
     return params, dom
 
 

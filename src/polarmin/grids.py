@@ -271,14 +271,12 @@ def build_polar_grid(domain: RadialDomain, n_r: int, n_a: int) -> PolarGrid:
     return PolarGrid(domain=domain, n_r=n_r, n_a=n_a, r_nodes=r_nodes, a_nodes=a_nodes, w=w)
 
 
-def integrate(grid: PolarGrid, f: Field) -> float:
-    """Quadrature sum over all nodes; exact for constants."""
-    if f.grid is not grid and f.grid.key() != grid.key():
-        raise ValueError("field does not live on this grid")
-    return float(np.sum(grid.w * f.values))
+def integrate(f: Field) -> float:
+    """Quadrature sum over all nodes of f's grid; exact for constants."""
+    return float(np.sum(f.grid.w * f.values))
 
 
-def grad_sq(grid: PolarGrid, f: Field) -> Field:
+def grad_sq(f: Field) -> Field:
     """Pointwise squared gradient (d_r f)^2 + (d_a f)^2 / r^2.
 
     Radial derivative: central in the interior, one-sided at the radial
@@ -289,6 +287,7 @@ def grad_sq(grid: PolarGrid, f: Field) -> Field:
     exact discrete Dirichlet energy.  Both differences are the sparse
     stencils the stiffness matrix is assembled from.
     """
+    grid = f.grid
     F = f.values.ravel()
     dradial = (grid._radial_diff @ F).reshape(grid.shape)
     dfwd = (grid._angular_fwd_diff @ F).reshape(grid.shape)

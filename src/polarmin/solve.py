@@ -139,7 +139,7 @@ def _random_smooth_values(grid: PolarGrid, rng: np.random.Generator) -> np.ndarr
     return vals
 
 
-def _build_start(params, grid, opts, k: int) -> np.ndarray:
+def _build_start(grid, opts, k: int) -> np.ndarray:
     rng = np.random.default_rng([opts.seed, k])
     if isinstance(opts.init, Field):
         if opts.init.grid.key() != grid.key():
@@ -291,7 +291,7 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
     u_final = _gauge_fix(grid, project(phi(U, theta)), antisym)
     return _RunRecord(
         u=u_final,
-        lam=eval_objective(params, grid, u_final),
+        lam=eval_objective(params, u_final),
         converged=converged,
         iterations=iters,
         grad_norm=gnorm,
@@ -344,14 +344,15 @@ def _gauge_fix(grid: PolarGrid, vals: np.ndarray, antisym: bool) -> Field:
     return Field(grid, out)
 
 
-def residual_rms(params, grid, u: Field, mult: Multipliers) -> float:
+def residual_rms(params, u: Field, mult: Multipliers) -> float:
     """Quadrature RMS of the stationarity residual over interior rings.
 
     The innermost and the two outermost rings are skipped: their rows of
     the variational Laplacian are energy-consistent but not pointwise
     samples of the operator.
     """
-    res = euler_residual(params, grid, u, mult).values
+    grid = u.grid
+    res = euler_residual(params, u, mult).values
     t = RESIDUAL_TRIM
     if grid.n_r <= 2 * t + 1:
         t = 0
@@ -372,7 +373,7 @@ def minimize(params: ProblemParams, grid: PolarGrid, opts: SolveOptions) -> Mini
         raise ValueError("the anti-symmetric problem is posed on the disk")
     runs = []
     for k in range(opts.n_starts):
-        u0 = _build_start(params, grid, opts, k)
+        u0 = _build_start(grid, opts, k)
         runs.append(_solve_single(params, grid, u0, opts))
     conv = [r for r in runs if r.converged]
     pool = conv if conv else runs
@@ -382,11 +383,11 @@ def minimize(params: ProblemParams, grid: PolarGrid, opts: SolveOptions) -> Mini
         spread = (max(lams) - min(lams)) / max(abs(best.lam), 1e-300)
     else:
         spread = 0.0
-    mult = multipliers_from_identities(params, grid, best.u)
+    mult = multipliers_from_identities(params, best.u)
     return MinimizeResult(
         **vars(best),
         mult=mult,
-        residual_rms=residual_rms(params, grid, best.u, mult),
+        residual_rms=residual_rms(params, best.u, mult),
         symmetry=symmetry_report(best.u),
         starts_agreement=spread,
         start_runtimes=tuple(r.runtime for r in runs),
@@ -408,15 +409,16 @@ def restrict_positive_x1(v: Field) -> Field:
     return Field(v.grid, np.where(inside[None, :], v.values, 0.0))
 
 
-def build_half_support_competitor(v_as: Field, grid: PolarGrid, params: ProblemParams) -> Field:
+def build_half_support_competitor(v_as: Field, params: ProblemParams) -> Field:
     """Feasible competitor supported on one side of the anti-symmetry
     interface: restrict to {x1 > 0}, remove the mean, renormalize to unit
     Lp norm."""
+    grid = v_as.grid
     anti = weighted_l2(grid, v_as.values + reflect_field(v_as, "x2").values)
     scale = weighted_l2(grid, v_as.values)
     if scale == 0.0 or anti > 1e-8 * scale:
         raise ValueError("competitor requires an anti-symmetric input field")
-    if abs(lp_norm(grid, v_as, params.p) - 1.0) > 1e-6:
+    if abs(lp_norm(v_as, params.p) - 1.0) > 1e-6:
         raise ValueError("competitor requires a unit-norm input field")
     restricted = restrict_positive_x1(v_as)
     if weighted_l2(grid, restricted.values) == 0.0:
@@ -447,7 +449,7 @@ class CertificationRecord:
         return asdict(self)
 
 
-def certify(result: MinimizeResult, params: ProblemParams, grid: PolarGrid) -> CertificationRecord:
+def certify(result: MinimizeResult, params: ProblemParams) -> CertificationRecord:
     """Cross-validate a converged run: constraint violations, agreement of
     the identity-based duals with the optimizer's duals, and objective
     non-improvement under two-point rearrangement over a fan of 8 grid
@@ -455,14 +457,14 @@ def certify(result: MinimizeResult, params: ProblemParams, grid: PolarGrid) -> C
     if not result.converged:
         raise ValueError("certification requires a converged result")
     u = result.u
-    mean_v = abs(integrate(grid, u))
-    norm_v = abs(lp_norm(grid, u, params.p) - 1.0)
+    mean_v = abs(integrate(u))
+    norm_v = abs(lp_norm(u, params.p) - 1.0)
     ident = result.mult
     cons_c = abs(ident.c - result.dual_c)
     cons_d = abs(ident.d - result.dual_d)
     gaps = []
-    for h in grid_half_planes(grid, 8):
-        val = eval_objective(params, grid, two_point_rearrange(u, h))
+    for h in grid_half_planes(u.grid, 8):
+        val = eval_objective(params, two_point_rearrange(u, h))
         gaps.append(val - result.lam)
     min_gap = min(gaps)
     max_rel = max(abs(g) for g in gaps) / max(abs(result.lam), 1e-300)

@@ -276,8 +276,8 @@ def test_criterion_7_level_set_identities_and_idempotence():
         fh = two_point_rearrange(f, h)
         assert np.array_equal(two_point_rearrange(fh, h).values, fh.values)
         for prof in (lambda t: t, lambda t: t**2, lambda t: np.abs(t) ** p):
-            a = integrate(g, Field(g, prof(f.values)))
-            b = integrate(g, Field(g, prof(fh.values)))
+            a = integrate(Field(g, prof(f.values)))
+            b = integrate(Field(g, prof(fh.values)))
             worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     ok = worst <= 1e-12
     report("7 level-set-identities", ok, f"worst relative mismatch={worst:.2e}")
@@ -439,8 +439,8 @@ def test_criterion_8_objective_equivalence():
             params = ProblemParams(theta=th, p=2.0)
             for seed in range(4):
                 v = smooth_field(g, seed)
-                lhs = eval_objective(params, g, v)
-                rhs = integrate(g, grad_sq(g, Field(g, psi(v.values, th))))
+                lhs = eval_objective(params, v)
+                rhs = integrate(grad_sq(Field(g, psi(v.values, th))))
                 worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     ok = worst <= 1e-10
     report("8 objective-equivalence", ok, f"worst relative mismatch={worst:.2e}")
@@ -472,7 +472,7 @@ def test_criterion_8_multiplier_consistency(theta01_run):
     params, grid, res = theta01_run
     gap_d = abs(res.mult.d - res.dual_d)
     ok = res.converged and gap_d <= 1e-3 * abs(res.mult.d)
-    record = certify(res, params, grid)
+    record = certify(res, params)
     report(
         "8 multiplier-consistency",
         ok,

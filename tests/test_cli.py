@@ -59,6 +59,24 @@ def test_sweep_spec_validation():
             grid=(32, 64),
             opts=SolveOptions(),
         )
+    with pytest.raises(ValueError, match="p sweep is posed on the disk"):
+        SweepSpec(
+            params_base=ProblemParams(theta=0.1, p=2.0),
+            domain=annulus(0.5, 1.0),
+            axis="p",
+            values=(2.0, 4.0),
+            grid=(32, 64),
+            opts=SolveOptions(),
+        )
+    # only the theta axis fixes the base p and F
+    SweepSpec(
+        params_base=ProblemParams(theta=0.1, p=3.0, f_spec=power_law(0.1, 1.5)),
+        domain=disk(1.0),
+        axis="p",
+        values=(2.0, 4.0),
+        grid=(32, 64),
+        opts=SolveOptions(),
+    )
 
 
 def test_sweep_theta_outputs(tmp_path):
@@ -98,27 +116,33 @@ def test_sweep_reproducible_manifest(tmp_path):
 
 
 def test_sweep_theta_preconditions():
+    # the spec checks the preconditions of its axis when it is built
     with pytest.raises(ValueError, match="p = 2"):
-        run_sweep_theta(
-            SweepSpec(
-                params_base=ProblemParams(theta=0.1, p=3.0),
-                domain=disk(1.0),
-                axis="theta",
-                values=(0.1, 0.2),
-                grid=(32, 64),
-                opts=SolveOptions(),
-            )
+        SweepSpec(
+            params_base=ProblemParams(theta=0.1, p=3.0),
+            domain=disk(1.0),
+            axis="theta",
+            values=(0.1, 0.2),
+            grid=(32, 64),
+            opts=SolveOptions(),
+        )
+    with pytest.raises(ValueError, match="F = 0"):
+        SweepSpec(
+            params_base=ProblemParams(theta=0.1, p=2.0, f_spec=power_law(0.1, 1.5)),
+            domain=disk(1.0),
+            axis="theta",
+            values=(0.1, 0.2),
+            grid=(32, 64),
+            opts=SolveOptions(),
         )
     with pytest.raises(ValueError, match="disk"):
-        run_sweep_theta(
-            SweepSpec(
-                params_base=ProblemParams(theta=0.1, p=2.0),
-                domain=annulus(0.5, 1.0),
-                axis="theta",
-                values=(0.1, 0.2),
-                grid=(32, 64),
-                opts=SolveOptions(),
-            )
+        SweepSpec(
+            params_base=ProblemParams(theta=0.1, p=2.0),
+            domain=annulus(0.5, 1.0),
+            axis="theta",
+            values=(0.1, 0.2),
+            grid=(32, 64),
+            opts=SolveOptions(),
         )
 
 
@@ -176,6 +200,19 @@ def test_cli_eig(capsys):
     assert any(abs(m["alpha_nk"] - 1.8411837813) < 1e-9 for m in data)
 
 
+# configuration documents the usage-error cases below refer to by name
+BAD_CONFIGS = {
+    "cfg": '{"theta": 0.1, "p": Infinity, "domain": {"kind": "disk"}}',
+    "annulus": '{"theta": 0.1, "p": 2.0, '
+    '"domain": {"kind": "annulus", "r_inner": 0.5, "r_outer": 1.0}}',
+    "p3": '{"theta": 0.1, "p": 3.0, "domain": {"kind": "disk"}}',
+    "no_r_inner": '{"theta": 0.1, "p": 2.0, "domain": {"kind": "annulus", "r_outer": 1.0}}',
+    "theta_null": '{"theta": null, "p": 2.0, "domain": {"kind": "disk"}}',
+    "c0_null": '{"theta": 0.1, "p": 2.0, "F": {"kind": "power_law", "c0": null, "alpha": 1.5}, '
+    '"domain": {"kind": "disk"}}',
+}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -189,15 +226,25 @@ def test_cli_eig(capsys):
         (["check-foliated", "--grid", "1x2"], "n_a must be divisible by 4"),
         (["sweep-p", "--grid", "1x2", "--values", "2"], "n_a must be divisible by 4"),
         (["sweep-theta", "--grid", "8x6", "--values", "0.1"], "n_a must be divisible by 4"),
+        (["sweep-p", "--config", "{annulus}", "--values", "2"], "p sweep is posed on the disk"),
+        (["sweep-theta", "--config", "{p3}", "--values", "0.1"], "posed at p = 2 with F = 0"),
+        (["check-foliated", "--config", "{no_r_inner}"], "missing configuration value 'r_inner'"),
+        (["check-foliated", "--config", "{theta_null}"], "'theta' must be a number"),
+        (["sweep-p", "--config", "{c0_null}", "--values", "2"], "'c0' must be a number"),
+        (["check-foliated", "--threshold", "0.1"], "unrecognized arguments: --threshold"),
     ],
     ids=["seed", "starts", "config", "eig", "radius-zero", "radius-negative", "radius-nan",
-         "grid-check-foliated", "grid-sweep-p", "grid-sweep-theta"],
+         "grid-check-foliated", "grid-sweep-p", "grid-sweep-theta", "sweep-p-annulus",
+         "sweep-theta-p3", "config-no-r-inner", "config-theta-null", "config-c0-null",
+         "no-threshold-flag"],
 )
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, argv, message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"theta": 0.1, "p": Infinity, "domain": {"kind": "disk"}}')
+    paths = {}
+    for name, text in BAD_CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
     with pytest.raises(SystemExit) as exc:
-        main([a.format(cfg=cfg) for a in argv])
+        main([a.format(**paths) for a in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage: polarmin" in err

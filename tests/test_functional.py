@@ -17,16 +17,17 @@ from polarmin.functional import (
     g_term,
     lp_norm,
     m_term,
-    mean_constraint,
     multipliers_from_identities,
     n_term,
     phi,
+    phi_prime,
     power_law,
     psi,
+    signed_power,
     zero_f,
 )
 from polarmin.grids import Field, annulus, build_polar_grid, disk, grad_sq, integrate
-from polarmin.solve import _antisym_project
+from polarmin.solve import _antisym_project, objective_value_and_grad
 from polarmin.spectral import eigenfield, neumann_mode
 
 from test_grids import smooth_field
@@ -68,7 +69,7 @@ def test_phi_inverse_pair():
 def test_objective_zero_field():
     g = build_polar_grid(disk(1.0), 16, 16)
     params = ProblemParams(theta=0.2, p=2.0)
-    assert eval_objective(params, g, Field(g, np.zeros(g.shape))) == 0.0
+    assert eval_objective(params, Field(g, np.zeros(g.shape))) == 0.0
 
 
 def test_objective_equivalence_with_substituted_energy():
@@ -78,8 +79,8 @@ def test_objective_equivalence_with_substituted_energy():
             params = ProblemParams(theta=th, p=2.0)
             for seed in range(3):
                 v = smooth_field(g, seed)
-                lhs = eval_objective(params, g, v)
-                rhs = integrate(g, grad_sq(g, Field(g, psi(v.values, th))))
+                lhs = eval_objective(params, v)
+                rhs = integrate(grad_sq(Field(g, psi(v.values, th))))
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
@@ -88,7 +89,7 @@ def test_objective_at_eigenfunction():
     mode = neumann_mode(1, 1)
     u = eigenfield(mode, g)
     params = ProblemParams(theta=0.0, p=2.0)
-    val = eval_objective(params, g, u)
+    val = eval_objective(params, u)
     assert abs(val - 3.3900) <= 0.01 * 3.39
 
 
@@ -98,20 +99,20 @@ def test_objective_nonnegative_for_zero_f():
     rng = np.random.default_rng(0)
     for _ in range(10):
         v = Field(g, rng.standard_normal(g.shape))
-        assert eval_objective(params, g, v) >= 0.0
+        assert eval_objective(params, v) >= 0.0
 
 
 def test_mean_and_lp_norm():
     g = build_polar_grid(disk(1.0), 32, 64)
     fs = Field(g, np.broadcast_to(np.sin(g.a_nodes), g.shape))
-    assert abs(mean_constraint(g, fs)) <= 1e-12
+    assert abs(integrate(fs)) <= 1e-12
     f = smooth_field(g, 4)
     for p in (1.5, 2.0, 7.0):
-        n1 = lp_norm(g, f, p)
-        n2 = lp_norm(g, Field(g, -2.5 * f.values), p)
+        n1 = lp_norm(f, p)
+        n2 = lp_norm(Field(g, -2.5 * f.values), p)
         assert abs(n2 - 2.5 * n1) <= 1e-12 * n2
     const = Field(g, np.full(g.shape, (1.0 / math.pi) ** (1.0 / 3.0)))
-    assert abs(lp_norm(g, const, 3.0) - 1.0) <= 1e-10
+    assert abs(lp_norm(const, 3.0) - 1.0) <= 1e-10
 
 
 def test_g_term_zero_f():
@@ -169,7 +170,7 @@ def test_euler_residual_at_eigenfunction():
     mode = neumann_mode(1, 1)
     u = eigenfield(mode, g)
     params = ProblemParams(theta=0.0, p=2.0)
-    res = euler_residual(params, g, u, Multipliers(0.0, -mode.eigenvalue)).values
+    res = euler_residual(params, u, Multipliers(0.0, -mode.eigenvalue)).values
     w = g.w[2:-2]
     rms = math.sqrt(float(np.sum(w * res[2:-2] ** 2) / np.sum(w)))
     unorm = math.sqrt(float(np.sum(g.w * u.values**2) / np.sum(g.w)))
@@ -179,7 +180,7 @@ def test_euler_residual_at_eigenfunction():
 def test_euler_residual_total_on_constant():
     g = build_polar_grid(disk(1.0), 8, 8)
     params = ProblemParams(theta=0.2, p=3.0)
-    res = euler_residual(params, g, Field(g, np.full(g.shape, 2.0)), Multipliers(0.3, -1.2))
+    res = euler_residual(params, Field(g, np.full(g.shape, 2.0)), Multipliers(0.3, -1.2))
     assert np.all(np.isfinite(res.values))
 
 
@@ -188,9 +189,29 @@ def test_euler_residual_sign_symmetry():
     g = build_polar_grid(disk(1.0), 12, 16)
     params = ProblemParams(theta=0.2, p=3.0, f_spec=power_law(0.5, 2.0))
     u = smooth_field(g, 8)
-    r1 = euler_residual(params, g, u, Multipliers(0.17, -2.0)).values
-    r2 = euler_residual(params, g, Field(g, -u.values), Multipliers(-0.17, -2.0)).values
+    r1 = euler_residual(params, u, Multipliers(0.17, -2.0)).values
+    r2 = euler_residual(params, Field(g, -u.values), Multipliers(-0.17, -2.0)).values
     assert np.allclose(r1, -r2, atol=1e-13)
+
+
+@pytest.mark.parametrize("f_spec", [zero_f(), power_law(0.5, 2.0)], ids=["zero", "power_law"])
+def test_euler_residual_is_the_descent_gradient(f_spec):
+    # w * residual is the gradient of half the objective plus the two
+    # constraint gradients weighted by the duals, all in the variable U
+    g = build_polar_grid(disk(1.0), 16, 32)
+    params = ProblemParams(theta=0.2, p=3.0, f_spec=f_spec)
+    u = smooth_field(g, 8)
+    mult = Multipliers(0.17, -2.0)
+    U = psi(u.values, params.theta)
+    _, grad = objective_value_and_grad(params, g, U)
+    dphi = phi_prime(U, params.theta)
+    stationarity = (
+        0.5 * grad
+        + mult.c * g.w * dphi
+        + mult.d * g.w * signed_power(phi(U, params.theta), params.p) * dphi
+    )
+    res = euler_residual(params, u, mult).values * g.w
+    assert np.max(np.abs(res - stationarity)) <= 1e-12 * np.max(np.abs(stationarity))
 
 
 def test_multipliers_at_eigenfunction():
@@ -198,7 +219,7 @@ def test_multipliers_at_eigenfunction():
     mode = neumann_mode(1, 1)
     u = eigenfield(mode, g)
     params = ProblemParams(theta=0.0, p=2.0)
-    m = multipliers_from_identities(params, g, u)
+    m = multipliers_from_identities(params, u)
     assert abs(m.c) <= 1e-8
     assert abs(m.d + mode.eigenvalue) <= 0.02 * mode.eigenvalue
 
@@ -208,7 +229,7 @@ def test_multipliers_antisymmetric_c_vanishes():
     raw = smooth_field(g, 13).values
     u = Field(g, _antisym_project(g, raw))
     params = ProblemParams(theta=0.2, p=2.0)
-    m = multipliers_from_identities(params, g, u)
+    m = multipliers_from_identities(params, u)
     assert abs(m.c) <= 1e-12
 
 
@@ -219,11 +240,11 @@ def test_multipliers_match_norm_identity_for_zero_f():
     u = smooth_field(g, 21)
     theta = params.theta
     au = np.abs(u.values)
-    gs = grad_sq(g, u).values
+    gs = grad_sq(u).values
     explicit = -float(
         np.sum(g.w * gs * (1.0 + (1.0 - theta) * au) / (1.0 + au) ** (2 * theta + 1))
     )
-    m = multipliers_from_identities(params, g, u)
+    m = multipliers_from_identities(params, u)
     assert abs(m.d - explicit) <= 1e-12 * max(1.0, abs(explicit))
 
 
@@ -279,6 +300,25 @@ def test_config_round_trip_and_strictness():
         config_from_dict(doc)
     with pytest.raises(ValueError, match="missing"):
         config_from_dict({"theta": 0.1})
+    # a missing radius or a non-numeric value is a ValueError; the domain's
+    # own checks reject a bad domain
+    for domain, message in (
+        ({"kind": "annulus", "r_outer": 1.0}, "missing configuration value 'r_inner'"),
+        ({"kind": "annulus", "r_inner": 0.5}, "missing configuration value 'r_outer'"),
+        ({"kind": "disk", "r_outer": "1.0"}, "'r_outer' must be a number"),
+        ({"kind": "disk", "r_inner": 0.3}, "disk requires r_inner = 0"),
+        ({"kind": "square", "r_inner": 0.5, "r_outer": 1.0}, "unknown domain kind"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict({"theta": 0.1, "p": 2.0, "domain": domain})
+    for key, doc in (
+        ("theta", {"theta": None, "p": 2.0}),
+        ("p", {"theta": 0.1, "p": True}),
+        ("q", {"theta": 0.1, "p": 2.0, "q": "1.9"}),
+        ("c0", {"theta": 0.1, "p": 2.0, "F": {"kind": "power_law", "c0": None, "alpha": 1.5}}),
+    ):
+        with pytest.raises(ValueError, match=f"'{key}' must be a number"):
+            config_from_dict({**doc, "domain": {"kind": "disk"}})
     # json reads NaN and Infinity; a strict config rejects them
     for bad in (
         '"F": {"kind": "power_law", "c0": NaN, "alpha": 1.2}, "p": 1.5',
@@ -295,4 +335,10 @@ def test_config_defaults():
         {"theta": 0.1, "p": 2.0, "domain": {"kind": "disk", "r_outer": 1.0}}
     )
     assert params.f_spec == zero_f()
-    assert dom.kind == "disk"
+    assert dom == disk(1.0)
+    # a disk's radii default to the unit disk; q = null takes the default q
+    params, dom = config_from_dict(
+        {"theta": 0.1, "p": 2.0, "q": None, "domain": {"kind": "disk"}}
+    )
+    assert params == ProblemParams(theta=0.1, p=2.0)
+    assert dom == disk(1.0)

@@ -7,12 +7,11 @@ from polarmin.functional import (
     ProblemParams,
     eval_objective,
     lp_norm,
-    mean_constraint,
     power_law,
     psi,
     zero_f,
 )
-from polarmin.grids import Field, annulus, build_polar_grid, disk, reflect_field
+from polarmin.grids import Field, annulus, build_polar_grid, disk, integrate, reflect_field
 from polarmin.solve import (
     InfeasibleInitError,
     SolveOptions,
@@ -55,9 +54,9 @@ def test_minimize_matches_neumann_eigenvalue():
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
     assert res.converged
     assert abs(res.lam - LAM2) <= 0.02 * LAM2
-    assert abs(mean_constraint(g, res.u)) <= 1e-6
-    assert abs(lp_norm(g, res.u, 2.0) - 1.0) <= 1e-6
-    assert res.lam == eval_objective(params, g, res.u)
+    assert abs(integrate(res.u)) <= 1e-6
+    assert abs(lp_norm(res.u, 2.0) - 1.0) <= 1e-6
+    assert res.lam == eval_objective(params, res.u)
     assert res.u.values[-1, 0] >= 0.0
     assert abs(res.mult.d + LAM2) <= 0.02 * LAM2
     assert abs(res.mult.c) <= 1e-6
@@ -183,11 +182,11 @@ def test_antisymmetric_dominates_at_large_p():
     g = build_polar_grid(disk(1.0), 48, 96)
     params = ProblemParams(theta=0.1, p=8.0)
     res_as = minimize_antisymmetric(params, g, SolveOptions(n_starts=1, seed=0))
-    comp = build_half_support_competitor(res_as.u, g, params)
+    comp = build_half_support_competitor(res_as.u, params)
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0, init=comp))
     assert res_as.converged and res.converged
     assert res.lam < res_as.lam
-    comp_obj = eval_objective(params, g, comp)
+    comp_obj = eval_objective(params, comp)
     assert res.lam <= comp_obj < res_as.lam
 
 
@@ -197,7 +196,7 @@ def test_gauge_picks_one_of_the_mirror_minimizers():
     g = build_polar_grid(disk(1.0), 48, 96)
     params = ProblemParams(theta=0.1, p=8.0)
     res_as = minimize_antisymmetric(params, g, SolveOptions(n_starts=1, seed=0))
-    comp = build_half_support_competitor(res_as.u, g, params)
+    comp = build_half_support_competitor(res_as.u, params)
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0, init=comp))
     mirror = Field(g, -np.roll(res.u.values, g.n_a // 2, axis=1))
     again = minimize(params, g, SolveOptions(n_starts=1, seed=0, init=mirror))
@@ -212,14 +211,14 @@ def test_half_support_competitor_identities():
     res_as = minimize_antisymmetric(params, g, SolveOptions(n_starts=1, seed=0))
     raw = restrict_positive_x1(res_as.u)
     # the restriction carries exactly half of the p-norm mass
-    half_mass = lp_norm(g, raw, params.p) ** params.p
+    half_mass = lp_norm(raw, params.p) ** params.p
     assert abs(half_mass - 0.5) <= 1e-12
     # and half of the energy, up to the quadrature error of the cut
-    obj = eval_objective(params, g, raw)
+    obj = eval_objective(params, raw)
     assert abs(obj - res_as.lam / 2.0) <= 0.05 * res_as.lam
-    comp = build_half_support_competitor(res_as.u, g, params)
-    assert abs(mean_constraint(g, comp)) <= 1e-12
-    assert abs(lp_norm(g, comp, params.p) - 1.0) <= 1e-12
+    comp = build_half_support_competitor(res_as.u, params)
+    assert abs(integrate(comp)) <= 1e-12
+    assert abs(lp_norm(comp, params.p) - 1.0) <= 1e-12
 
 
 def test_competitor_rejects_bad_inputs():
@@ -227,10 +226,10 @@ def test_competitor_rejects_bad_inputs():
     params = ProblemParams(theta=0.1, p=4.0)
     sym = Field(g, np.broadcast_to(np.cos(2 * g.a_nodes), g.shape))
     with pytest.raises(ValueError, match="anti-symmetric"):
-        build_half_support_competitor(sym, g, params)
+        build_half_support_competitor(sym, params)
     anti = Field(g, np.broadcast_to(np.cos(g.a_nodes), g.shape))
     with pytest.raises(ValueError, match="unit-norm"):
-        build_half_support_competitor(anti, g, params)
+        build_half_support_competitor(anti, params)
 
 
 def test_residual_rms_small_at_minimizer():
@@ -239,14 +238,14 @@ def test_residual_rms_small_at_minimizer():
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
     unorm = math.sqrt(float(np.sum(g.w * res.u.values**2) / np.sum(g.w)))
     assert res.residual_rms <= 5e-2 * unorm
-    assert res.residual_rms == residual_rms(params, g, res.u, res.mult)
+    assert res.residual_rms == residual_rms(params, res.u, res.mult)
 
 
 def test_certify_converged_run():
     g = build_polar_grid(disk(1.0), 48, 96)
     params = ProblemParams(theta=0.1, p=2.0)
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
-    record = certify(res, params, g)
+    record = certify(res, params)
     assert record.passed
     assert record.mean_violation <= 1e-10
     assert record.norm_violation <= 1e-10
@@ -261,7 +260,7 @@ def test_certify_rejects_unconverged():
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0, max_iters=1, grad_tol=1e-14))
     assert not res.converged
     with pytest.raises(ValueError, match="converged"):
-        certify(res, params, g)
+        certify(res, params)
 
 
 def test_warm_start_agrees_with_cold():

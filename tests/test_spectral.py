@@ -121,8 +121,8 @@ def test_eigenfield_symmetry_and_normalization():
     g = build_polar_grid(disk(1.0), 64, 128)
     mode = neumann_mode(1, 1)
     u = eigenfield(mode, g)
-    assert abs(integrate(g, Field(g, u.values**2)) - 1.0) <= 1e-12
-    assert abs(integrate(g, u)) <= 1e-12
+    assert abs(integrate(Field(g, u.values**2)) - 1.0) <= 1e-12
+    assert abs(integrate(u)) <= 1e-12
     rep = symmetry_report(u)
     assert rep.foliated_defect <= 1e-8
     assert rep.even_defect <= 1e-8
@@ -137,7 +137,7 @@ def test_eigenfield_node_values():
         angular = np.cos(n * g.a_nodes) if parity == "cos" else np.sin(n * g.a_nodes)
         radial = [bessel_j(n, mode.alpha_nk * r / radius) for r in g.r_nodes]
         vals = np.outer(radial, angular)
-        vals /= math.sqrt(integrate(g, Field(g, vals**2)))
+        vals /= math.sqrt(integrate(Field(g, vals**2)))
         assert np.max(np.abs(eigenfield(mode, g).values - vals)) <= 1e-14
 
 
@@ -146,7 +146,7 @@ def test_eigenfield_rayleigh_quotient():
     for n, k in ((1, 1), (2, 1), (0, 2)):
         mode = neumann_mode(n, k)
         u = eigenfield(mode, g)
-        rq = integrate(g, grad_sq(g, u))
+        rq = integrate(grad_sq(u))
         assert abs(rq - mode.eigenvalue) <= 0.01 * mode.eigenvalue
 
 
@@ -164,7 +164,7 @@ def test_rayleigh_refinement_order():
     for n in (48, 96, 192):
         g = build_polar_grid(disk(1.0), n, 2 * n)
         u = eigenfield(mode, g)
-        errs.append(abs(integrate(g, grad_sq(g, u)) - mode.eigenvalue))
+        errs.append(abs(integrate(grad_sq(u)) - mode.eigenvalue))
     o1 = math.log2(errs[0] / errs[1])
     o2 = math.log2(errs[1] / errs[2])
     assert min(o1, o2) >= 1.8
