@@ -93,8 +93,7 @@ class SweepSpec:
             self.params_at(v)  # admissibility of every row
 
     def params_at(self, value: float) -> ProblemParams:
-        # q=None re-derives the default Sobolev exponent for the row's theta
-        return replace(self.params_base, q=None, **{self.axis: value})
+        return replace(self.params_base, **{self.axis: value})
 
     def grid_for(self, value: float) -> tuple:
         if self.grid is not None:

@@ -16,13 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .grids import (
-    Field,
-    RadialDomain,
-    dirichlet_energy,
-    grad_sq,
-    laplacian,
-)
+from .grids import Field, RadialDomain, dirichlet_energy, grad_sq
 
 __all__ = [
     "FSpec",
@@ -37,8 +31,6 @@ __all__ = [
     "eval_objective",
     "lp_norm",
     "g_term",
-    "m_term",
-    "n_term",
     "euler_residual",
     "multipliers_from_identities",
     "config_to_dict",
@@ -64,7 +56,10 @@ class FSpec:
             raise ValueError(f"unknown F kind {self.kind!r}")
         if not (math.isfinite(self.c0) and math.isfinite(self.alpha)):
             raise ValueError("F coefficient c0 and exponent alpha must be finite")
-        if self.kind == "power_law":
+        if self.kind == "zero":
+            if self.c0 != 0.0 or self.alpha != 0.0:
+                raise ValueError("F = 0 takes no coefficient c0 or exponent alpha")
+        else:
             if self.c0 < 0:
                 raise ValueError("power-law coefficient c0 must be >= 0")
             if self.alpha <= 1.0:
@@ -82,34 +77,20 @@ def power_law(c0: float, alpha: float) -> FSpec:
     return FSpec("power_law", c0=c0, alpha=alpha)
 
 
-def _check_sign_condition(f: FSpec, theta: float) -> None:
-    # For p in (1, 2) the lower-order term must satisfy
-    # t (1 + |t|) F_t - 2 theta |t| F <= 0; checked on a log-spaced lattice.
-    if f.kind == "zero":
-        return
-    t = np.concatenate([-np.logspace(-6, 3, 200), np.logspace(-6, 3, 200)])
-    at = np.abs(t)
-    ft = -f.c0 * f.alpha * at ** (f.alpha - 1.0) * np.sign(t)
-    fv = -f.c0 * at**f.alpha
-    expr = t * (1.0 + at) * ft - 2.0 * theta * at * fv
-    if np.any(expr > 1e-12):
-        raise ValueError("power-law term fails the p<2 sign condition")
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Exponents and lower-order term of the energy.
 
     theta in [0, 1/2) controls the damping of the kinetic term (theta = 0
     is the classical coercive limit, admitted so the Neumann spectrum can
-    oracle the solver).  p > 1 is the norm-constraint exponent.  q is the
-    Sobolev exponent of the continuum formulation, recorded for validation
-    only; the default is the lower admissible bound 2(1 - theta).
+    oracle the solver).  p > 1 is the norm-constraint exponent.  With the
+    power-law F, 1 < alpha <= p; since 2 theta < 1 < alpha, the paper's
+    p < 2 sign condition t (1 + |t|) F_t - 2 theta |t| F <= 0 then holds
+    for every t.
     """
 
     theta: float
     p: float
-    q: float | None = None
     f_spec: FSpec = FSpec("zero")
 
     def __post_init__(self):
@@ -117,19 +98,8 @@ class ProblemParams:
             raise ValueError("theta must satisfy 0 <= 2*theta < 1")
         if not 1.0 < self.p < math.inf:
             raise ValueError("p must be finite and exceed 1")
-        if self.q is None:
-            object.__setattr__(self, "q", 2.0 * (1.0 - self.theta))
-        qlo = 2.0 * (1.0 - self.theta)
-        qhi = 2.0 if self.theta > 0 else 2.0 + 1e-12
-        if not (qlo - 1e-12 <= self.q <= qhi):
-            raise ValueError(f"q must lie in [2(1-theta), 2) = [{qlo}, 2)")
-        if self.f_spec.kind == "power_law":
-            if self.f_spec.alpha < 2.0 * self.theta:
-                raise ValueError("power-law exponent must be >= 2*theta")
-            if self.f_spec.alpha > self.p:
-                raise ValueError("power-law exponent must be <= p")
-            if self.p < 2.0:
-                _check_sign_condition(self.f_spec, self.theta)
+        if self.f_spec.kind == "power_law" and self.f_spec.alpha > self.p:
+            raise ValueError("power-law exponent must be <= p")
 
 
 @dataclass(frozen=True)
@@ -212,32 +182,18 @@ def g_term(r, t, params: ProblemParams):
     return float(out) if out.ndim == 0 else out
 
 
-def m_term(t, params: ProblemParams):
-    """|phi(t)|^{p-2} phi(t) (1 + |phi(t)|)^theta: odd and nondecreasing."""
-    u = phi(t, params.theta)
-    au = np.abs(u)
-    out = np.sign(u) * au ** (params.p - 1.0) * (1.0 + au) ** params.theta
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def n_term(r, t, params: ProblemParams, c: float):
-    """(g(r, phi(t)) - c) (1 + |phi(t)|)^theta."""
-    u = phi(t, params.theta)
-    out = (g_term(r, u, params) - c) * (1.0 + np.abs(u)) ** params.theta
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def euler_residual(params: ProblemParams, u: Field, mult: Multipliers) -> Field:
-    """Pointwise residual of the substituted stationarity equation
-    -lap U + d M(U) - N(|x|, U) with U = psi(u)."""
+    """Pointwise residual of the stationarity equation in U = psi(u):
+    (A U)/w + (c + d |u|^{p-2} u - g(|x|, u)) phi'(U), the gradient of half
+    the objective plus the dual-weighted constraint gradients, per unit
+    weight."""
     grid = u.grid
     U = psi(u.values, params.theta)
-    res = (
-        -laplacian(grid, U)
-        + mult.d * m_term(U, params)
-        - n_term(grid.r_nodes[:, None], U, params, mult.c)
-    )
-    return Field(grid, res)
+    uv = phi(U, params.theta)
+    AU = (grid.stiffness @ U.ravel()).reshape(grid.shape)
+    g = g_term(grid.r_nodes[:, None], uv, params)
+    pointwise = mult.c + mult.d * signed_power(uv, params.p) - g
+    return Field(grid, AU / grid.w + pointwise * phi_prime(U, params.theta))
 
 
 def signed_power(u: np.ndarray, p: float, delta: float = 0.0) -> np.ndarray:
@@ -281,7 +237,6 @@ def config_to_dict(params: ProblemParams, domain: RadialDomain) -> dict:
     return {
         "theta": params.theta,
         "p": params.p,
-        "q": params.q,
         "F": asdict(params.f_spec),
         "domain": asdict(domain),
     }
@@ -320,8 +275,14 @@ def config_from_dict(doc: dict) -> tuple[ProblemParams, RadialDomain]:
     dom = RadialDomain(
         ddoc["kind"], _number(ddoc, "r_inner", r_in), _number(ddoc, "r_outer", r_out)
     )
-    q = _number(doc, "q") if doc.get("q") is not None else None
-    params = ProblemParams(theta=_number(doc, "theta"), p=_number(doc, "p"), q=q, f_spec=f)
+    params = ProblemParams(theta=_number(doc, "theta"), p=_number(doc, "p"), f_spec=f)
+    # a configuration may state the Sobolev exponent q of the continuum
+    # formulation; no computation reads it, so it is range-checked and dropped
+    if doc.get("q") is not None:
+        q, qlo = _number(doc, "q"), 2.0 * (1.0 - params.theta)
+        qhi = 2.0 if params.theta > 0 else 2.0 + 1e-12
+        if not (qlo - 1e-12 <= q <= qhi):
+            raise ValueError(f"q must lie in [2(1-theta), 2) = [{qlo}, 2)")
     return params, dom
 
 

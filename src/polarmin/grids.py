@@ -27,7 +27,6 @@ __all__ = [
     "integrate",
     "grad_sq",
     "dirichlet_energy",
-    "laplacian",
     "reflect_field",
     "rotate_field",
     "reflection_index_map",
@@ -115,7 +114,8 @@ class PolarGrid:
 
     # Differential operators are assembled once per grid and cached.  The
     # stiffness matrix is the exact Hessian of the discrete Dirichlet
-    # energy, so the Laplacian below is its exact first variation.
+    # energy, so -(A f)/w is the divergence-form Laplacian of f, the exact
+    # first variation of that energy.
 
     @cached_property
     def _radial_diff(self) -> sp.csr_matrix:
@@ -299,12 +299,6 @@ def dirichlet_energy(grid: PolarGrid, values: np.ndarray) -> float:
     """f.A.f, equal to integrate(grad_sq(f)) up to roundoff."""
     v = values.ravel()
     return float(v @ (grid.stiffness @ v))
-
-
-def laplacian(grid: PolarGrid, values: np.ndarray) -> np.ndarray:
-    """Divergence-form Laplacian: exact first variation of the Dirichlet
-    energy, -(A f)/w per node."""
-    return -(grid.stiffness @ values.ravel()).reshape(grid.shape) / grid.w
 
 
 def _half_units(grid: PolarGrid, angle: float) -> int:

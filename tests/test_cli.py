@@ -210,6 +210,8 @@ BAD_CONFIGS = {
     "theta_null": '{"theta": null, "p": 2.0, "domain": {"kind": "disk"}}',
     "c0_null": '{"theta": 0.1, "p": 2.0, "F": {"kind": "power_law", "c0": null, "alpha": 1.5}, '
     '"domain": {"kind": "disk"}}',
+    "zero_f_c0": '{"theta": 0.1, "p": 2.0, "F": {"kind": "zero", "c0": 5.0, "alpha": 3.0}, '
+    '"domain": {"kind": "disk"}}',
 }
 
 
@@ -232,11 +234,12 @@ BAD_CONFIGS = {
         (["check-foliated", "--config", "{theta_null}"], "'theta' must be a number"),
         (["sweep-p", "--config", "{c0_null}", "--values", "2"], "'c0' must be a number"),
         (["check-foliated", "--threshold", "0.1"], "unrecognized arguments: --threshold"),
+        (["check-foliated", "--config", "{zero_f_c0}"], "F = 0 takes no coefficient"),
     ],
     ids=["seed", "starts", "config", "eig", "radius-zero", "radius-negative", "radius-nan",
          "grid-check-foliated", "grid-sweep-p", "grid-sweep-theta", "sweep-p-annulus",
          "sweep-theta-p3", "config-no-r-inner", "config-theta-null", "config-c0-null",
-         "no-threshold-flag"],
+         "no-threshold-flag", "config-zero-f-c0"],
 )
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, argv, message):
     paths = {}

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarmin.functional import (
     FSpec,
@@ -16,9 +18,7 @@ from polarmin.functional import (
     euler_residual,
     g_term,
     lp_norm,
-    m_term,
     multipliers_from_identities,
-    n_term,
     phi,
     phi_prime,
     power_law,
@@ -26,7 +26,15 @@ from polarmin.functional import (
     signed_power,
     zero_f,
 )
-from polarmin.grids import Field, annulus, build_polar_grid, disk, grad_sq, integrate
+from polarmin.grids import (
+    Field,
+    annulus,
+    build_polar_grid,
+    dirichlet_energy,
+    disk,
+    grad_sq,
+    integrate,
+)
 from polarmin.solve import _antisym_project, objective_value_and_grad
 from polarmin.spectral import eigenfield, neumann_mode
 
@@ -57,13 +65,27 @@ def test_psi_bounded_by_identity_and_monotone():
         assert np.allclose(vals, -psi(-xs, th), atol=1e-15)
 
 
-def test_phi_inverse_pair():
-    xs = np.concatenate([-np.logspace(-8, 3, 300), [0.0], np.logspace(-8, 3, 300)])
-    for th in (0.0, 0.1, 0.25, 0.49):
-        back = phi(psi(xs, th), th)
-        assert np.max(np.abs(back - xs) / np.maximum(np.abs(xs), 1e-30)) <= 1e-12
-    assert phi(0.0, 0.3) == 0.0
+THETAS = st.floats(0.0, 0.5, exclude_max=True)
+SIGNS = st.sampled_from((-1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(th=THETAS, sign=SIGNS, mag=st.floats(1e-8, 1e3))
+def test_phi_inverse_pair(th, sign, mag):
+    x = sign * mag
+    assert abs(phi(psi(x, th), th) - x) <= 1e-12 * mag
+    assert phi(0.0, th) == 0.0
     assert abs(phi(2.0, 0.5) - 3.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(th=THETAS, sign=SIGNS, mag=st.floats(1e-8, 1e3))
+def test_phi_prime_is_the_damping_factor(th, sign, mag):
+    # phi'(t) = (1 + |phi(t)|)^theta: the factor euler_residual multiplies
+    # the pointwise terms by
+    t = sign * mag
+    expected = (1.0 + abs(phi(t, th))) ** th
+    assert abs(phi_prime(t, th) - expected) <= 1e-12 * expected
 
 
 def test_objective_zero_field():
@@ -141,28 +163,49 @@ def test_g_term_odd():
     assert np.allclose(g_term(1.0, -t, params), -g_term(1.0, t, params), atol=1e-15)
 
 
-def test_sign_condition_consequence_for_small_p():
-    # for the admissible power family with p < 2, t * d/dt[F/(1+|t|)^{2theta}]
-    # is nonpositive; the derivative is twice g
-    params = ProblemParams(theta=0.2, p=1.5, f_spec=power_law(0.1, 1.2))
-    t = np.concatenate([-np.logspace(-6, 3, 300), np.logspace(-6, 3, 300)])
-    assert np.all(t * g_term(1.0, t, params) <= 1e-15)
+@settings(max_examples=200, deadline=None)
+@given(
+    th=THETAS,
+    c0=st.floats(0.0, 1e3),
+    exponents=st.lists(
+        st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), min_size=2, max_size=2
+    ),
+    t=st.floats(-1e3, 1e3),
+)
+def test_sign_condition_consequence_for_small_p(th, c0, exponents, t):
+    # every admissible power law with p < 2 (1 < alpha <= p) meets the sign
+    # condition, so t * d/dt[F/(1+|t|)^{2theta}] is nonpositive; the
+    # derivative is twice g
+    alpha, p = sorted(exponents)
+    params = ProblemParams(theta=th, p=p, f_spec=power_law(c0, alpha))
+    assert t * g_term(1.0, t, params) <= 0.0
 
 
 def test_m_term_monotone_and_odd():
+    # the M term |phi(t)|^{p-2} phi(t) phi'(t) of the stationarity equation
+    # in t = psi(u), the one d multiplies, is odd and nondecreasing
+    def term(t, th, p):
+        return signed_power(phi(t, th), p) * phi_prime(t, th)
+
     for th, p in ((0.1, 2.0), (0.25, 1.5), (0.49, 32.0), (0.0, 8.0)):
-        params = ProblemParams(theta=th, p=p)
-        assert m_term(0.0, params) == 0.0
+        assert term(0.0, th, p) == 0.0
         t = np.linspace(-40, 40, 10001)
-        vals = m_term(t, params)
+        vals = term(t, th, p)
         assert np.all(np.diff(vals) >= 0.0)
-        assert np.allclose(vals, -m_term(-t, params), atol=1e-12)
+        assert np.allclose(vals, -term(-t, th, p), atol=1e-12)
 
 
 def test_n_term_zero_f_zero_c():
+    # the N term (c - g(|x|, phi(t))) phi'(t) vanishes with F = 0 and c = 0;
+    # with d = 0 too only the Dirichlet term is left, so testing the
+    # residual with U = psi(u) gives the Dirichlet energy of U
+    g = build_polar_grid(disk(1.0), 12, 16)
     params = ProblemParams(theta=0.2, p=2.0)
-    t = np.linspace(-5, 5, 11)
-    assert np.all(n_term(1.0, t, params, 0.0) == 0.0)
+    u = smooth_field(g, 5)
+    U = psi(u.values, params.theta)
+    res = euler_residual(params, u, Multipliers(0.0, 0.0)).values
+    energy = dirichlet_energy(g, U)
+    assert abs(float(np.sum(g.w * res * U)) - energy) <= 1e-12 * energy
 
 
 def test_euler_residual_at_eigenfunction():
@@ -255,14 +298,21 @@ def test_params_validation():
         ProblemParams(theta=-0.01, p=2.0)
     with pytest.raises(ValueError):
         ProblemParams(theta=0.1, p=1.0)
-    with pytest.raises(ValueError):
-        ProblemParams(theta=0.1, p=2.0, q=1.0)
-    with pytest.raises(ValueError):
-        ProblemParams(theta=0.1, p=2.0, q=2.1)
-    p = ProblemParams(theta=0.0, p=2.0)  # classical limit admitted
-    assert p.q == 2.0
-    p = ProblemParams(theta=0.25, p=2.0)
-    assert p.q == 1.5
+    ProblemParams(theta=0.0, p=2.0)  # classical limit admitted
+
+
+def test_config_q_range():
+    # a configuration may state the Sobolev exponent q; it must lie in
+    # [2(1 - theta), 2), and nothing keeps it
+    def config(theta, q):
+        return {"theta": theta, "p": 2.0, "q": q, "domain": {"kind": "disk"}}
+
+    for theta, q in ((0.1, 1.0), (0.1, 2.1)):
+        with pytest.raises(ValueError, match="q must lie in"):
+            config_from_dict(config(theta, q))
+    for theta, q in ((0.0, 2.0), (0.25, 1.5), (0.1, 1.9)):
+        params, _ = config_from_dict(config(theta, q))
+        assert params == ProblemParams(theta=theta, p=2.0)
 
 
 def test_fspec_validation():
@@ -272,6 +322,10 @@ def test_fspec_validation():
         FSpec("power_law", c0=0.1, alpha=1.0)
     with pytest.raises(ValueError):
         FSpec("power_law", c0=-1.0, alpha=2.0)
+    # F = 0 carries no coefficients that a manifest would record
+    for c0, alpha in ((5.0, 3.0), (5.0, 0.0), (0.0, 3.0)):
+        with pytest.raises(ValueError, match="F = 0 takes no"):
+            FSpec("zero", c0=c0, alpha=alpha)
     with pytest.raises(ValueError, match="<= p"):
         ProblemParams(theta=0.1, p=1.5, f_spec=power_law(0.1, 1.8))
     # the p < 2 sign condition holds for the admissible family
@@ -336,7 +390,7 @@ def test_config_defaults():
     )
     assert params.f_spec == zero_f()
     assert dom == disk(1.0)
-    # a disk's radii default to the unit disk; q = null takes the default q
+    # a disk's radii default to the unit disk; q = null is accepted
     params, dom = config_from_dict(
         {"theta": 0.1, "p": 2.0, "q": None, "domain": {"kind": "disk"}}
     )
