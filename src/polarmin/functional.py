@@ -5,6 +5,8 @@ zero-mean and unit-Lp-norm constraints.  Internally the kinetic term is
 evaluated in the substituted variable Psi(v), whose squared gradient equals
 the original integrand's kinetic part in the continuum; with F = 0 the
 discrete objective is therefore exactly the Dirichlet energy of Psi(v).
+`evaluate` is the one statement of the objective and its gradient: the
+descent, `eval_objective` and `euler_residual` all go through it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .grids import Field, RadialDomain, dirichlet_energy, grad_sq
+from .grids import Field, PolarGrid, RadialDomain, grad_sq
 
 __all__ = [
     "FSpec",
@@ -28,6 +30,8 @@ __all__ = [
     "psi",
     "phi",
     "phi_prime",
+    "Point",
+    "evaluate",
     "eval_objective",
     "lp_norm",
     "g_term",
@@ -143,22 +147,11 @@ def lp_norm(v: Field, p: float) -> float:
 
 
 def _f_over_weight(params: ProblemParams, v: np.ndarray) -> np.ndarray:
-    """Pointwise F(r, v) / (1 + |v|)^{2 theta} (r-independent family)."""
+    """Pointwise F(r, v) / (1 + |v|)^{2 theta} (r-independent family); only
+    `evaluate` calls it, and only when F != 0."""
     f = params.f_spec
-    if f.kind == "zero":
-        return np.zeros_like(v)
     av = np.abs(v)
     return -f.c0 * av**f.alpha / (1.0 + av) ** (2.0 * params.theta)
-
-
-def eval_objective(params: ProblemParams, v: Field) -> float:
-    """Energy of v: Dirichlet energy of psi(v) minus the quadrature of
-    F(r, v)/(1+|v|)^{2 theta}."""
-    U = psi(v.values, params.theta)
-    val = dirichlet_energy(v.grid, U)
-    if params.f_spec.kind != "zero":
-        val -= float(np.sum(v.grid.w * _f_over_weight(params, v.values)))
-    return val
 
 
 def g_term(r, t, params: ProblemParams):
@@ -182,18 +175,46 @@ def g_term(r, t, params: ProblemParams):
     return float(out) if out.ndim == 0 else out
 
 
+@dataclass(frozen=True)
+class Point:
+    """The objective evaluated at the substituted node values U = psi(u):
+    u = phi(U), dphi = phi'(U), the value and its gradient in U."""
+
+    U: np.ndarray
+    u: np.ndarray
+    dphi: np.ndarray
+    value: float
+    grad: np.ndarray
+
+
+def evaluate(params: ProblemParams, grid: PolarGrid, U: np.ndarray) -> Point:
+    """Objective U.AU minus the quadrature of F(r, u)/(1+|u|)^{2 theta} at
+    u = phi(U), and its exact gradient 2 AU - 2 w g(r, u) phi'(U)."""
+    u = phi(U, params.theta)
+    dphi = phi_prime(U, params.theta)
+    AU = (grid.stiffness @ U.ravel()).reshape(grid.shape)
+    value = float(U.ravel() @ AU.ravel())
+    grad = 2.0 * AU
+    if params.f_spec.kind != "zero":
+        value -= float(np.sum(grid.w * _f_over_weight(params, u)))
+        grad -= 2.0 * grid.w * g_term(grid.r_nodes[:, None], u, params) * dphi
+    return Point(U, u, dphi, value, grad)
+
+
+def eval_objective(params: ProblemParams, v: Field) -> float:
+    """Energy of v: the objective of `evaluate` at U = psi(v)."""
+    return evaluate(params, v.grid, psi(v.values, params.theta)).value
+
+
 def euler_residual(params: ProblemParams, u: Field, mult: Multipliers) -> Field:
     """Pointwise residual of the stationarity equation in U = psi(u):
     (A U)/w + (c + d |u|^{p-2} u - g(|x|, u)) phi'(U), the gradient of half
     the objective plus the dual-weighted constraint gradients, per unit
     weight."""
     grid = u.grid
-    U = psi(u.values, params.theta)
-    uv = phi(U, params.theta)
-    AU = (grid.stiffness @ U.ravel()).reshape(grid.shape)
-    g = g_term(grid.r_nodes[:, None], uv, params)
-    pointwise = mult.c + mult.d * signed_power(uv, params.p) - g
-    return Field(grid, AU / grid.w + pointwise * phi_prime(U, params.theta))
+    pt = evaluate(params, grid, psi(u.values, params.theta))
+    pointwise = mult.c + mult.d * signed_power(pt.u, params.p)
+    return Field(grid, 0.5 * pt.grad / grid.w + pointwise * pt.dphi)
 
 
 def signed_power(u: np.ndarray, p: float, delta: float = 0.0) -> np.ndarray:

@@ -3,13 +3,14 @@
 Minimizes the energy over fields with zero quadrature mean and unit Lp
 norm, in the full space or in the subspace anti-symmetric across the
 x2-axis.  The optimization variable is the substituted field U = psi(u),
-which turns the leading term into the plain Dirichlet energy.  Every
-iterate is projected exactly onto the constraint set; the duals (c, d) of
-the stationarity equation are recovered each step by least squares in the
-discrete H1 metric, and the reduced gradient (constraint components
-removed) drives a preconditioned backtracking descent on half the
-objective, so the converged duals use the same normalization as the
-integral identities.  No momentum.
+which turns the leading term into the plain Dirichlet energy.  Every start
+and line-search trial is projected exactly onto the constraint set and
+evaluated once, by functional.evaluate; the accepted trial's record is the
+next step's point.  The duals (c, d) of the stationarity equation are
+recovered each step by least squares in the discrete H1 metric, and the
+reduced gradient (constraint components removed) drives a preconditioned
+backtracking descent on half the objective, so the converged duals use
+the same normalization as the integral identities.  No momentum.
 """
 
 from __future__ import annotations
@@ -25,16 +26,17 @@ from .functional import (
     Multipliers,
     P_REGULARIZATION,
     ProblemParams,
-    _f_over_weight,
     eval_objective,
-    g_term,
+    evaluate,
     lp_norm,
     multipliers_from_identities,
     phi,
-    phi_prime,
     psi,
     signed_power,
     euler_residual,
+    # evaluate calls these two; perfbench/spans.py hooks them where solve binds them
+    g_term,
+    phi_prime,
 )
 from .grids import Field, PolarGrid, integrate, reflect_field, reflection_index_map, rotate_field
 from .rearrange import (
@@ -57,7 +59,6 @@ __all__ = [
     "InfeasibleInitError",
     "minimize",
     "minimize_antisymmetric",
-    "objective_value_and_grad",
     "build_half_support_competitor",
     "restrict_positive_x1",
     "certify",
@@ -223,10 +224,7 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
             vals = _antisym_project(grid, vals)
         return _project_feasible(params, grid, vals)
 
-    u0_vals = project(u0_vals)
-
-    U = psi(u0_vals, theta)
-    J, grad = objective_value_and_grad(params, grid, U)
+    pt = evaluate(params, grid, psi(project(u0_vals), theta))
     iters = 0
     eta_step = 1.0
     converged = False
@@ -236,13 +234,12 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
     eps = np.finfo(float).eps
 
     while iters < opts.max_iters:
-        u = phi(U, theta)
-        pp = phi_prime(U, theta)
-        merits.append(0.5 * J)
+        m_val = 0.5 * pt.value
+        merits.append(m_val)
         # gradient of half the objective, and of the two constraints
-        g_obj = 0.5 * grad
-        g_c1 = w * pp
-        g_c2 = w * signed_power(u, p, delta) * pp
+        g_obj = 0.5 * pt.grad
+        g_c1 = w * pt.dphi
+        g_c2 = w * signed_power(pt.u, p, delta) * pt.dphi
         rhs = np.stack([g_obj.ravel(), g_c1.ravel(), g_c2.ravel()], axis=1)
         z_obj, z_c1, z_c2 = solve(rhs).T
         # least-squares duals: remove the constraint components from the
@@ -269,26 +266,23 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
             break
         eta = min(1.0, 2.0 * eta_step)
         accepted = False
-        m_val = 0.5 * J
         # required decrease is floored a few ulps above roundoff so a step
         # that cannot improve the merit in double precision registers as a
         # stall instead of spinning
         floor = 32.0 * eps * abs(m_val) if m_val != 0.0 else 0.0
         for _ in range(60):
-            u_try = project(phi(U - eta * z_red, theta))
-            U_try = psi(u_try, theta)
-            J_t, grad_t = objective_value_and_grad(params, grid, U_try)
-            if 0.5 * J_t <= m_val - max(1e-4 * eta * gTz, floor):
+            trial = evaluate(params, grid, psi(project(phi(pt.U - eta * z_red, theta)), theta))
+            if 0.5 * trial.value <= m_val - max(1e-4 * eta * gTz, floor):
                 accepted = True
                 break
             eta *= 0.5
         if not accepted:
             break
-        U, J, grad = U_try, J_t, grad_t
+        pt = trial
         eta_step = eta
         iters += 1
 
-    u_final = _gauge_fix(grid, project(phi(U, theta)), antisym)
+    u_final = _gauge_fix(grid, project(pt.u), antisym)
     return _RunRecord(
         u=u_final,
         lam=eval_objective(params, u_final),
@@ -300,23 +294,6 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
         merits=tuple(merits),
         runtime=time.perf_counter() - t0,
     )
-
-
-def objective_value_and_grad(
-    params: ProblemParams, grid: PolarGrid, U: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Objective in the substituted variable U = psi(u) and its exact
-    gradient with respect to the node values of U.  The descent evaluates
-    every point it visits through this routine."""
-    AU = (grid.stiffness @ U.ravel()).reshape(grid.shape)
-    val = float(U.ravel() @ AU.ravel())
-    gradient = 2.0 * AU
-    if params.f_spec.kind != "zero":
-        u = phi(U, params.theta)
-        pp = phi_prime(U, params.theta)
-        val -= float(np.sum(grid.w * _f_over_weight(params, u)))
-        gradient -= 2.0 * grid.w * g_term(grid.r_nodes[:, None], u, params) * pp
-    return val, gradient
 
 
 def _gauge_fix(grid: PolarGrid, vals: np.ndarray, antisym: bool) -> Field:
@@ -347,9 +324,9 @@ def _gauge_fix(grid: PolarGrid, vals: np.ndarray, antisym: bool) -> Field:
 def residual_rms(params, u: Field, mult: Multipliers) -> float:
     """Quadrature RMS of the stationarity residual over interior rings.
 
-    The innermost and the two outermost rings are skipped: their rows of
-    the variational Laplacian are energy-consistent but not pointwise
-    samples of the operator.
+    RESIDUAL_TRIM rings are skipped at each radial end: their rows of the
+    variational Laplacian are energy-consistent but not pointwise samples
+    of the operator.
     """
     grid = u.grid
     res = euler_residual(params, u, mult).values

@@ -16,6 +16,7 @@ from polarmin.functional import (
     config_to_json,
     eval_objective,
     euler_residual,
+    evaluate,
     g_term,
     lp_norm,
     multipliers_from_identities,
@@ -35,7 +36,7 @@ from polarmin.grids import (
     grad_sq,
     integrate,
 )
-from polarmin.solve import _antisym_project, objective_value_and_grad
+from polarmin.solve import _antisym_project
 from polarmin.spectral import eigenfield, neumann_mode
 
 from test_grids import smooth_field
@@ -98,12 +99,16 @@ def test_objective_equivalence_with_substituted_energy():
     for dom in (disk(1.0), annulus(0.5, 1.0)):
         g = build_polar_grid(dom, 24, 48)
         for th in (0.0, 0.25, 0.49):
-            params = ProblemParams(theta=th, p=2.0)
-            for seed in range(3):
-                v = smooth_field(g, seed)
-                lhs = eval_objective(params, v)
-                rhs = integrate(grad_sq(Field(g, psi(v.values, th))))
-                assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+            for f_spec in (zero_f(), power_law(0.5, 2.0)):
+                params = ProblemParams(theta=th, p=2.0, f_spec=f_spec)
+                for seed in range(3):
+                    v = smooth_field(g, seed)
+                    lhs = eval_objective(params, v)
+                    # F(r, v) = -c0 |v|^alpha over (1 + |v|)^{2 theta}, at v itself
+                    av = np.abs(v.values)
+                    f_v = -f_spec.c0 * av**f_spec.alpha / (1.0 + av) ** (2.0 * th)
+                    rhs = integrate(grad_sq(Field(g, psi(v.values, th)))) - integrate(Field(g, f_v))
+                    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
 def test_objective_at_eigenfunction():
@@ -246,7 +251,7 @@ def test_euler_residual_is_the_descent_gradient(f_spec):
     u = smooth_field(g, 8)
     mult = Multipliers(0.17, -2.0)
     U = psi(u.values, params.theta)
-    _, grad = objective_value_and_grad(params, g, U)
+    grad = evaluate(params, g, U).grad
     dphi = phi_prime(U, params.theta)
     stationarity = (
         0.5 * grad

@@ -6,6 +6,7 @@ import pytest
 from polarmin.functional import (
     ProblemParams,
     eval_objective,
+    evaluate,
     lp_norm,
     power_law,
     psi,
@@ -19,7 +20,6 @@ from polarmin.solve import (
     certify,
     minimize,
     minimize_antisymmetric,
-    objective_value_and_grad,
     residual_rms,
     restrict_positive_x1,
 )
@@ -36,13 +36,13 @@ def test_objective_gradient_matches_finite_differences():
         g = build_polar_grid(dom, 16, 24)
         params = ProblemParams(theta=0.25, p=3.0, f_spec=f_spec or ProblemParams(theta=0.25, p=3.0).f_spec)
         U = smooth_field(g, 1).values
-        val, grad = objective_value_and_grad(params, g, U)
+        grad = evaluate(params, g, U).grad
         for _ in range(10):
             v = rng.standard_normal(g.shape)
             v /= np.linalg.norm(v)
             h = 1e-5
-            plus, _ = objective_value_and_grad(params, g, U + h * v)
-            minus, _ = objective_value_and_grad(params, g, U - h * v)
+            plus = evaluate(params, g, U + h * v).value
+            minus = evaluate(params, g, U - h * v).value
             fd = (plus - minus) / (2 * h)
             an = float(grad.ravel() @ v.ravel())
             assert abs(fd - an) <= 1e-5 * max(abs(fd), 1.0)
@@ -108,19 +108,24 @@ def test_each_point_evaluated_once(monkeypatch, f_spec):
     seen = []
 
     def recording(params, grid, U):
-        val, grad = objective_value_and_grad(params, grid, U)
-        seen.append((U.tobytes(), val))
-        return val, grad
+        pt = evaluate(params, grid, U)
+        seen.append(pt)
+        return pt
 
-    monkeypatch.setattr(solve_mod, "objective_value_and_grad", recording)
+    monkeypatch.setattr(solve_mod, "evaluate", recording)
     g = build_polar_grid(disk(1.0), 16, 32)
     params = ProblemParams(theta=0.2, p=3.0, f_spec=f_spec)
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
     assert res.converged and res.iterations >= 2
-    halves = {0.5 * val for _, val in seen}
+    halves = {0.5 * pt.value for pt in seen}
     assert all(m in halves for m in res.merits)
-    points = [u for u, _ in seen]
+    points = [pt.U.tobytes() for pt in seen]
     assert len(set(points)) == len(points)
+    # the start and every trial, accepted or not, is feasible
+    for pt in seen:
+        u = Field(g, pt.u)
+        assert abs(integrate(u)) <= 1e-12
+        assert abs(lp_norm(u, params.p) - 1.0) <= 1e-12
 
 
 def test_solve_options_validation():
@@ -288,5 +293,5 @@ def test_substituted_variable_is_consistent():
     params = ProblemParams(theta=0.25, p=2.0)
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
     U = psi(res.u.values, params.theta)
-    val, _ = objective_value_and_grad(params, g, U)
+    val = evaluate(params, g, U).value
     assert abs(val - res.lam) <= 1e-10 * abs(res.lam)
