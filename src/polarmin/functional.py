@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -177,33 +178,42 @@ def g_term(r, t, params: ProblemParams):
 
 @dataclass(frozen=True)
 class Point:
-    """The objective evaluated at the substituted node values U = psi(u):
-    u = phi(U), dphi = phi'(U), the value and its gradient in U."""
+    """The objective at the substituted node values U = psi(u) of the field
+    u; phi'(U) and the gradient in U are computed on first read."""
 
+    params: ProblemParams
+    grid: PolarGrid
     U: np.ndarray
     u: np.ndarray
-    dphi: np.ndarray
     value: float
-    grad: np.ndarray
+    dirichlet_grad: np.ndarray  # 2 AU
+
+    @cached_property
+    def dphi(self) -> np.ndarray:
+        return phi_prime(self.U, self.params.theta)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """2 AU - 2 w g(r, u) phi'(U), the exact gradient of the value."""
+        if self.params.f_spec.kind == "zero":
+            return self.dirichlet_grad
+        g = g_term(self.grid.r_nodes[:, None], self.u, self.params)
+        return self.dirichlet_grad - 2.0 * self.grid.w * g * self.dphi
 
 
-def evaluate(params: ProblemParams, grid: PolarGrid, U: np.ndarray) -> Point:
-    """Objective U.AU minus the quadrature of F(r, u)/(1+|u|)^{2 theta} at
-    u = phi(U), and its exact gradient 2 AU - 2 w g(r, u) phi'(U)."""
-    u = phi(U, params.theta)
-    dphi = phi_prime(U, params.theta)
-    AU = (grid.stiffness @ U.ravel()).reshape(grid.shape)
-    value = float(U.ravel() @ AU.ravel())
-    grad = 2.0 * AU
+def evaluate(params: ProblemParams, grid: PolarGrid, U: np.ndarray, u: np.ndarray) -> Point:
+    """Objective U.AU minus the quadrature of F(r, u)/(1+|u|)^{2 theta}, at
+    the substituted values U = psi(u) of the field u."""
+    grad = 2.0 * (grid.stiffness @ U.ravel()).reshape(grid.shape)
+    value = 0.5 * float(U.ravel() @ grad.ravel())
     if params.f_spec.kind != "zero":
         value -= float(np.sum(grid.w * _f_over_weight(params, u)))
-        grad -= 2.0 * grid.w * g_term(grid.r_nodes[:, None], u, params) * dphi
-    return Point(U, u, dphi, value, grad)
+    return Point(params, grid, U, u, value, grad)
 
 
 def eval_objective(params: ProblemParams, v: Field) -> float:
-    """Energy of v: the objective of `evaluate` at U = psi(v)."""
-    return evaluate(params, v.grid, psi(v.values, params.theta)).value
+    """Energy of v: the objective of `evaluate` at v."""
+    return evaluate(params, v.grid, psi(v.values, params.theta), v.values).value
 
 
 def euler_residual(params: ProblemParams, u: Field, mult: Multipliers) -> Field:
@@ -212,7 +222,7 @@ def euler_residual(params: ProblemParams, u: Field, mult: Multipliers) -> Field:
     the objective plus the dual-weighted constraint gradients, per unit
     weight."""
     grid = u.grid
-    pt = evaluate(params, grid, psi(u.values, params.theta))
+    pt = evaluate(params, grid, psi(u.values, params.theta), u.values)
     pointwise = mult.c + mult.d * signed_power(pt.u, params.p)
     return Field(grid, 0.5 * pt.grad / grid.w + pointwise * pt.dphi)
 

@@ -160,16 +160,17 @@ class PolarGrid:
         return (dc.T @ W @ dc + df.T @ W @ df).tocsr()
 
     @cached_property
-    def h1_solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Exact solver for (W + A), the discrete H1 metric.
+    def h1_solve(self) -> Callable[[np.ndarray], tuple[np.ndarray, Callable]]:
+        """Exact solver for H = (W + A), the discrete H1 metric.
 
         The operator commutes with rotation by one angular cell, so an
         angular DFT splits it into one SPD pentadiagonal radial system per
         Fourier mode (on the disk the pole coupling contributes (-1)^m).
         Stacked mode after mode they form one banded SPD matrix, factored
-        once by LAPACK's banded Cholesky.  The returned callable takes a
-        vector of length n_nodes or an (n_nodes, k) array of columns and
-        returns the solution in the same shape.
+        once by LAPACK's banded Cholesky.  The returned callable takes an
+        (n_nodes, k) block b and returns gram[i, j] = b_i . H^-1 b_j, taken
+        by Parseval on the spectra, and combine(coef) = H^-1 (b @ coef) for
+        a coefficient vector or a (k, j) matrix, one inverse transform each.
         """
         a0, a1, a2 = (band.T.ravel() for band in _radial_bands(self))
         # upper band storage; a1, a2 vanish past each mode's last ring, so
@@ -185,19 +186,31 @@ class PolarGrid:
         n_r, n_a = self.n_r, self.n_a
         n_m = n_a // 2 + 1
 
-        def solve(b: np.ndarray) -> np.ndarray:
-            cols = b.reshape(self.n_nodes, -1).T
-            k = cols.shape[0]
-            spec = np.fft.rfft(cols.reshape(k, n_r, n_a), axis=2)
-            # unknown m * n_r + i, one column per input column, in the
-            # Fortran order LAPACK solves in place
-            rhs = np.ascontiguousarray(spec.transpose(0, 2, 1)).reshape(k, -1).T
+        def solve(b: np.ndarray) -> tuple[np.ndarray, Callable]:
+            k = b.shape[1]
+            # unknown m * n_r + i, one column per input column: the Fortran
+            # order LAPACK solves in
+            spec = np.empty((k, n_m, n_r), dtype=complex)
+            np.fft.rfft(b.T.reshape(k, n_r, n_a).transpose(0, 2, 1), axis=1, out=spec)
             x = scipy.linalg.cho_solve_banded(
-                (factor, False), rhs, overwrite_b=True, check_finite=False
-            )
-            spec = x.T.reshape(k, n_m, n_r).transpose(0, 2, 1)
-            x = np.fft.irfft(spec, n=n_a, axis=2)
-            return x.reshape(k, self.n_nodes).T.reshape(b.shape)
+                (factor, False), spec.reshape(k, -1).T, check_finite=False
+            ).T.reshape(k, n_m, n_r)
+
+            def vec(z):  # each column's spectrum as one real vector
+                return z.reshape(k, -1).view(float)
+
+            # Parseval: modes 0 and n_a/2 count once, every other mode twice
+            ends = slice(None, None, n_m - 1)
+            gram = (2.0 * (vec(spec) @ vec(x).T) - vec(spec[:, ends]) @ vec(x[:, ends]).T) / n_a
+
+            def combine(coef) -> np.ndarray:
+                coef = np.asarray(coef, dtype=float)
+                y = (coef.reshape(k, -1).T @ vec(x)).view(complex).reshape(-1, n_m, n_r)
+                out = np.empty((n_r, n_a, len(y)))
+                np.fft.irfft(y, n=n_a, axis=1, out=out.transpose(2, 1, 0))
+                return out.reshape((-1,) + coef.shape[1:])
+
+            return gram, combine
 
         return solve
 

@@ -7,10 +7,10 @@ which turns the leading term into the plain Dirichlet energy.  Every start
 and line-search trial is projected exactly onto the constraint set and
 evaluated once, by functional.evaluate; the accepted trial's record is the
 next step's point.  The duals (c, d) of the stationarity equation are
-recovered each step by least squares in the discrete H1 metric, and the
-reduced gradient (constraint components removed) drives a preconditioned
-backtracking descent on half the objective, so the converged duals use
-the same normalization as the integral identities.  No momentum.
+recovered each step by least squares in the discrete H1 metric, from the
+Gram matrix of one block H1 solve; the reduced gradient (constraint parts
+removed) drives a preconditioned backtracking descent on half the
+objective, so the duals share the integral identities' scale.  No momentum.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .functional import (
     psi,
     signed_power,
     euler_residual,
-    # evaluate calls these two; perfbench/spans.py hooks them where solve binds them
+    # functional.Point calls these two; perfbench/spans.py hooks them where solve binds them
     g_term,
     phi_prime,
 )
@@ -109,9 +109,11 @@ def _antisym_project(grid: PolarGrid, vals: np.ndarray) -> np.ndarray:
 
 
 def _project_feasible(params: ProblemParams, grid: PolarGrid, vals: np.ndarray) -> np.ndarray:
-    vals = vals - float(np.sum(grid.w * vals)) / grid.domain.area
+    mean = float(np.sum(grid.w * vals)) / grid.domain.area
+    vals = vals - mean
     nrm = float(np.sum(grid.w * np.abs(vals) ** params.p)) ** (1.0 / params.p)
-    if not nrm > 1e-300:
+    # a constant field leaves only the roundoff of its mean
+    if not nrm > max(1e-12 * abs(mean) * grid.domain.area ** (1.0 / params.p), 1e-300):
         raise InfeasibleInitError("initial field vanishes after mean removal")
     return vals / nrm
 
@@ -215,8 +217,6 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
     w = grid.w
     antisym = opts.subspace == "antisymmetric"
     delta = P_REGULARIZATION if p < 2.0 else 0.0
-    solve = grid.h1_solve
-    shape = grid.shape
 
     def project(vals):
         # exact feasibility: subspace, zero mean, unit Lp norm
@@ -224,7 +224,8 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
             vals = _antisym_project(grid, vals)
         return _project_feasible(params, grid, vals)
 
-    pt = evaluate(params, grid, psi(project(u0_vals), theta))
+    u = project(u0_vals)
+    pt = evaluate(params, grid, psi(u, theta), u)
     iters = 0
     eta_step = 1.0
     converged = False
@@ -240,22 +241,17 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
         g_obj = 0.5 * pt.grad
         g_c1 = w * pt.dphi
         g_c2 = w * signed_power(pt.u, p, delta) * pt.dphi
-        rhs = np.stack([g_obj.ravel(), g_c1.ravel(), g_c2.ravel()], axis=1)
-        z_obj, z_c1, z_c2 = solve(rhs).T
+        gram, combine = grid.h1_solve(np.stack([g_obj.ravel(), g_c1.ravel(), g_c2.ravel()]).T)
         # least-squares duals: remove the constraint components from the
         # gradient in the H1-dual metric; these are the stationarity
         # multipliers (c, d) the integral identities estimate independently
-        a11 = float(g_c1.ravel() @ z_c1)
-        a12 = float(g_c1.ravel() @ z_c2)
-        a22 = float(g_c2.ravel() @ z_c2)
-        b1 = float(g_c1.ravel() @ z_obj)
-        b2 = float(g_c2.ravel() @ z_obj)
+        (b1, a11, a12), (b2, _, a22) = gram[1:].tolist()
         det = a11 * a22 - a12 * a12
         if det > 1e-300:
             c_dual = -(a22 * b1 - a12 * b2) / det
             d_dual = -(a11 * b2 - a12 * b1) / det
         g_red = g_obj + c_dual * g_c1 + d_dual * g_c2
-        z_red = (z_obj + c_dual * z_c1 + d_dual * z_c2).reshape(shape)
+        z_red = combine((1.0, c_dual, d_dual)).reshape(grid.shape)
         if antisym:
             g_red = _antisym_project(grid, g_red)
             z_red = _antisym_project(grid, z_red)
@@ -271,7 +267,8 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
         # stall instead of spinning
         floor = 32.0 * eps * abs(m_val) if m_val != 0.0 else 0.0
         for _ in range(60):
-            trial = evaluate(params, grid, psi(project(phi(pt.U - eta * z_red, theta)), theta))
+            u = project(phi(pt.U - eta * z_red, theta))
+            trial = evaluate(params, grid, psi(u, theta), u)
             if 0.5 * trial.value <= m_val - max(1e-4 * eta * gTz, floor):
                 accepted = True
                 break
@@ -282,7 +279,7 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
         eta_step = eta
         iters += 1
 
-    u_final = _gauge_fix(grid, project(pt.u), antisym)
+    u_final = _gauge_fix(grid, pt.u, antisym)
     return _RunRecord(
         u=u_final,
         lam=eval_objective(params, u_final),

@@ -452,15 +452,15 @@ def test_criterion_8_gradient_check():
     g = build_polar_grid(disk(1.0), 24, 48)
     params = ProblemParams(theta=0.25, p=2.0)
     U = smooth_field(g, 11).values
-    grad = evaluate(params, g, U).grad
+    grad = evaluate(params, g, U, phi(U, params.theta)).grad
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(100):
         v = rng.standard_normal(g.shape)
         v /= np.linalg.norm(v)
         h = 1e-5
-        plus = evaluate(params, g, U + h * v).value
-        minus = evaluate(params, g, U - h * v).value
+        plus = evaluate(params, g, U + h * v, phi(U + h * v, params.theta)).value
+        minus = evaluate(params, g, U - h * v, phi(U - h * v, params.theta)).value
         fd = (plus - minus) / (2 * h)
         an = float(grad.ravel() @ v.ravel())
         worst = max(worst, abs(fd - an) / max(abs(fd), 1e-12))

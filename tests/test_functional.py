@@ -242,6 +242,21 @@ def test_euler_residual_sign_symmetry():
     assert np.allclose(r1, -r2, atol=1e-13)
 
 
+def test_eval_objective_computes_only_the_value(monkeypatch):
+    # phi' and the gradient are computed on first read of a Point, so the
+    # energy alone (certify's competitors, the reported lambda) needs neither
+    import polarmin.functional as functional
+
+    def unexpected(*args):
+        raise AssertionError("phi' or g computed for a value alone")
+
+    monkeypatch.setattr(functional, "phi_prime", unexpected)
+    monkeypatch.setattr(functional, "g_term", unexpected)
+    g = build_polar_grid(annulus(0.5, 1.0), 8, 16)
+    params = ProblemParams(theta=0.2, p=1.5, f_spec=power_law(0.1, 1.2))
+    assert math.isfinite(eval_objective(params, smooth_field(g, 3)))
+
+
 @pytest.mark.parametrize("f_spec", [zero_f(), power_law(0.5, 2.0)], ids=["zero", "power_law"])
 def test_euler_residual_is_the_descent_gradient(f_spec):
     # w * residual is the gradient of half the objective plus the two
@@ -251,12 +266,12 @@ def test_euler_residual_is_the_descent_gradient(f_spec):
     u = smooth_field(g, 8)
     mult = Multipliers(0.17, -2.0)
     U = psi(u.values, params.theta)
-    grad = evaluate(params, g, U).grad
+    grad = evaluate(params, g, U, u.values).grad
     dphi = phi_prime(U, params.theta)
     stationarity = (
         0.5 * grad
         + mult.c * g.w * dphi
-        + mult.d * g.w * signed_power(phi(U, params.theta), params.p) * dphi
+        + mult.d * g.w * signed_power(u.values, params.p) * dphi
     )
     res = euler_residual(params, u, mult).values * g.w
     assert np.max(np.abs(res - stationarity)) <= 1e-12 * np.max(np.abs(stationarity))

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -191,18 +193,41 @@ def test_dirichlet_energy_refinement_order_annulus():
     r_inner=st.sampled_from([0.0, 0.1, 0.5, 2.0]),
     n_r=st.integers(2, 12),
     n_a=st.sampled_from(range(4, 33, 4)),
-    columns=st.sampled_from([None, 3]),
+    columns=st.sampled_from([1, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_h1_solve_matches_sparse_direct_solve(r_inner, n_r, n_a, columns, seed):
     dom = disk(1.0) if r_inner == 0.0 else annulus(r_inner, r_inner + 1.0)
     g = build_polar_grid(dom, n_r, n_a)
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal(g.n_nodes if columns is None else (g.n_nodes, columns))
-    ref = spsolve((sp.diags(g.w.ravel()) + g.stiffness).tocsc(), b)
-    x = g.h1_solve(b)
+    b = rng.standard_normal((g.n_nodes, columns))
+    ref = spsolve((sp.diags(g.w.ravel()) + g.stiffness).tocsc(), b).reshape(b.shape)
+    gram, combine = g.h1_solve(b)
+    # the Parseval weights: modes 0 and n_a/2 once, every other mode twice
+    gram_ref = b.T @ ref
+    assert np.linalg.norm(gram - gram_ref) <= 1e-10 * np.linalg.norm(gram_ref)
+    x = combine(np.eye(columns))
     assert x.shape == b.shape
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    coef = rng.standard_normal(columns)
+    x = combine(coef)
+    assert x.shape == (g.n_nodes,)
+    assert np.linalg.norm(x - ref @ coef) <= 1e-10 * np.linalg.norm(ref @ coef)
+
+
+def test_grid_is_freed_with_its_last_reference():
+    # the cached H1 solver must not refer back to its grid: a reference cycle
+    # would keep every dropped grid and its factorization alive until the
+    # cycle collector happens to run, and peak memory would depend on when
+    g = build_polar_grid(disk(1.0), 8, 16)
+    g.h1_solve(np.ones((g.n_nodes, 2)))[1](np.ones(2))
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_h1_solve_rejects_indefinite_metric(monkeypatch):

@@ -8,6 +8,7 @@ from polarmin.functional import (
     eval_objective,
     evaluate,
     lp_norm,
+    phi,
     power_law,
     psi,
     zero_f,
@@ -36,13 +37,13 @@ def test_objective_gradient_matches_finite_differences():
         g = build_polar_grid(dom, 16, 24)
         params = ProblemParams(theta=0.25, p=3.0, f_spec=f_spec or ProblemParams(theta=0.25, p=3.0).f_spec)
         U = smooth_field(g, 1).values
-        grad = evaluate(params, g, U).grad
+        grad = evaluate(params, g, U, phi(U, params.theta)).grad
         for _ in range(10):
             v = rng.standard_normal(g.shape)
             v /= np.linalg.norm(v)
             h = 1e-5
-            plus = evaluate(params, g, U + h * v).value
-            minus = evaluate(params, g, U - h * v).value
+            plus = evaluate(params, g, U + h * v, phi(U + h * v, params.theta)).value
+            minus = evaluate(params, g, U - h * v, phi(U - h * v, params.theta)).value
             fd = (plus - minus) / (2 * h)
             an = float(grad.ravel() @ v.ravel())
             assert abs(fd - an) <= 1e-5 * max(abs(fd), 1.0)
@@ -105,14 +106,19 @@ def test_merit_monotone_within_segments():
 def test_each_point_evaluated_once(monkeypatch, f_spec):
     import polarmin.solve as solve_mod
 
-    seen = []
+    seen, substituted = [], []
 
-    def recording(params, grid, U):
-        pt = evaluate(params, grid, U)
+    def recording(params, grid, U, u):
+        pt = evaluate(params, grid, U, u)
         seen.append(pt)
         return pt
 
+    def recording_psi(xi, theta):
+        substituted.append(xi)
+        return psi(xi, theta)
+
     monkeypatch.setattr(solve_mod, "evaluate", recording)
+    monkeypatch.setattr(solve_mod, "psi", recording_psi)
     g = build_polar_grid(disk(1.0), 16, 32)
     params = ProblemParams(theta=0.2, p=3.0, f_spec=f_spec)
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
@@ -121,8 +127,13 @@ def test_each_point_evaluated_once(monkeypatch, f_spec):
     assert all(m in halves for m in res.merits)
     points = [pt.U.tobytes() for pt in seen]
     assert len(set(points)) == len(points)
-    # the start and every trial, accepted or not, is feasible
-    for pt in seen:
+    # one psi call per evaluated point: perfbench counts line-search trials
+    # as solve's psi calls minus the starts
+    assert len(substituted) == len(seen)
+    # the start and every trial, accepted or not, is feasible, and its field
+    # is the one that was substituted
+    for pt, xi in zip(seen, substituted):
+        assert pt.u is xi
         u = Field(g, pt.u)
         assert abs(integrate(u)) <= 1e-12
         assert abs(lp_norm(u, params.p) - 1.0) <= 1e-12
@@ -293,5 +304,5 @@ def test_substituted_variable_is_consistent():
     params = ProblemParams(theta=0.25, p=2.0)
     res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
     U = psi(res.u.values, params.theta)
-    val = evaluate(params, g, U).value
+    val = evaluate(params, g, U, res.u.values).value
     assert abs(val - res.lam) <= 1e-10 * abs(res.lam)
