@@ -420,8 +420,8 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
 
-    # a ValueError while the inputs are built from the flags is a usage
-    # error; one raised inside a solve is not
+    # an input the flags name that cannot be read (OSError) or is rejected
+    # (ValueError) is a usage error; a ValueError raised inside a solve is not
     if args.cmd in ("sweep-theta", "sweep-p"):
         try:
             params, domain = _load_config(args.config)
@@ -435,7 +435,7 @@ def main(argv=None) -> int:
                 opts=_build_opts(args),
                 out_dir=args.out,
             )
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             ap.error(str(exc))
         rows, extras = run_sweep_theta(spec) if args.cmd == "sweep-theta" else run_sweep_p(spec)
         sys.stdout.write(_csv_text(rows))
@@ -446,7 +446,7 @@ def main(argv=None) -> int:
         try:
             params, domain = _load_config(args.config)
             opts = _build_opts(args)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             ap.error(str(exc))
         dims = args.grid if args.grid else (96, 192)
         out = run_check_foliated(params, domain, dims, opts, out_dir=args.out)
@@ -454,6 +454,8 @@ def main(argv=None) -> int:
         return 0 if out["passed"] else 1
 
     if args.cmd == "eig":
+        if args.n_max < 0 or args.k_max < 1:
+            ap.error("--n-max must be >= 0 and --k-max >= 1")
         try:
             modes = [
                 neumann_mode(n, k, radius=args.radius)
@@ -472,21 +474,24 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "rearrange":
-        f = parse_field(Path(args.infile).read_text())
-        if args.op == "two-point":
-            if args.angle is None:
-                ap.error("--angle is required for two-point")
-            g = two_point_rearrange(f, HalfPlane(args.angle))
-        elif args.op == "foliated":
-            g = foliated_symmetrize(f)
-        elif args.op == "mollify":
-            if args.eps is None:
-                ap.error("--eps is required for mollify")
-            g = mollify(f, args.eps)
-        elif args.op == "reflect-x1":
-            g = reflect_field(f, "x1")
-        else:
-            g = reflect_field(f, "x2")
+        try:
+            f = parse_field(Path(args.infile).read_text())
+            if args.op == "two-point":
+                if args.angle is None:
+                    ap.error("--angle is required for two-point")
+                g = two_point_rearrange(f, HalfPlane(args.angle))
+            elif args.op == "foliated":
+                g = foliated_symmetrize(f)
+            elif args.op == "mollify":
+                if args.eps is None:
+                    ap.error("--eps is required for mollify")
+                g = mollify(f, args.eps)
+            elif args.op == "reflect-x1":
+                g = reflect_field(f, "x1")
+            else:
+                g = reflect_field(f, "x2")
+        except (OSError, ValueError) as exc:
+            ap.error(str(exc))
         text = dump_field(g)
         if args.outfile:
             Path(args.outfile).write_text(text)

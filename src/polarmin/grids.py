@@ -170,7 +170,7 @@ class PolarGrid:
         once by LAPACK's banded Cholesky.  The returned callable takes an
         (n_nodes, k) block b and returns gram[i, j] = b_i . H^-1 b_j, taken
         by Parseval on the spectra, and combine(coef) = H^-1 (b @ coef) for
-        a coefficient vector or a (k, j) matrix, one inverse transform each.
+        a coefficient vector coef of length k, with one inverse transform.
         """
         a0, a1, a2 = (band.T.ravel() for band in _radial_bands(self))
         # upper band storage; a1, a2 vanish past each mode's last ring, so
@@ -204,11 +204,10 @@ class PolarGrid:
             gram = (2.0 * (vec(spec) @ vec(x).T) - vec(spec[:, ends]) @ vec(x[:, ends]).T) / n_a
 
             def combine(coef) -> np.ndarray:
-                coef = np.asarray(coef, dtype=float)
-                y = (coef.reshape(k, -1).T @ vec(x)).view(complex).reshape(-1, n_m, n_r)
-                out = np.empty((n_r, n_a, len(y)))
-                np.fft.irfft(y, n=n_a, axis=1, out=out.transpose(2, 1, 0))
-                return out.reshape((-1,) + coef.shape[1:])
+                y = (np.asarray(coef, dtype=float)[None] @ vec(x)).view(complex)
+                out = np.empty((n_r, n_a))
+                np.fft.irfft(y.reshape(1, n_m, n_r), n=n_a, axis=1, out=out.T[None])
+                return out.ravel()
 
             return gram, combine
 

@@ -235,17 +235,35 @@ BAD_CONFIGS = {
         (["sweep-p", "--config", "{c0_null}", "--values", "2"], "'c0' must be a number"),
         (["check-foliated", "--threshold", "0.1"], "unrecognized arguments: --threshold"),
         (["check-foliated", "--config", "{zero_f_c0}"], "F = 0 takes no coefficient"),
+        (["sweep-p", "--config", "{missing}", "--values", "2"], "No such file or directory"),
+        (["check-foliated", "--config", "{missing}"], "No such file or directory"),
+        (["eig", "--n-max", "-1"], "--n-max must be >= 0 and --k-max >= 1"),
+        (["eig", "--k-max", "0"], "--n-max must be >= 0 and --k-max >= 1"),
+        (["rearrange", "--op", "foliated", "--in", "{bad_field}"], "n_a must be divisible by 4"),
+        (["rearrange", "--op", "foliated", "--in", "{missing}"], "No such file or directory"),
+        (["rearrange", "--op", "mollify", "--eps", "-1", "--in", "{field}"],
+         "mollification radius must be positive"),
+        (["rearrange", "--op", "two-point", "--angle", "0.001", "--in", "{field}"],
+         "not a multiple of half the angular spacing"),
     ],
     ids=["seed", "starts", "config", "eig", "radius-zero", "radius-negative", "radius-nan",
          "grid-check-foliated", "grid-sweep-p", "grid-sweep-theta", "sweep-p-annulus",
          "sweep-theta-p3", "config-no-r-inner", "config-theta-null", "config-c0-null",
-         "no-threshold-flag", "config-zero-f-c0"],
+         "no-threshold-flag", "config-zero-f-c0", "sweep-p-missing-config",
+         "check-foliated-missing-config", "eig-negative-n-max", "eig-zero-k-max",
+         "rearrange-malformed-field", "rearrange-missing-field", "rearrange-negative-eps",
+         "rearrange-off-grid-angle"],
 )
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, argv, message):
     paths = {}
     for name, text in BAD_CONFIGS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
+    paths["missing"] = tmp_path / "missing.json"
+    paths["bad_field"] = tmp_path / "bad_field.txt"
+    paths["bad_field"].write_text("# 2 6 0.0 1.0\n")
+    paths["field"] = tmp_path / "field.txt"
+    paths["field"].write_text(dump_field(smooth_field(build_polar_grid(disk(1.0), 4, 8), 3)))
     with pytest.raises(SystemExit) as exc:
         main([a.format(**paths) for a in argv])
     assert exc.value.code == 2

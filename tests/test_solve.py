@@ -147,9 +147,7 @@ def test_solve_options_validation():
         with pytest.raises(ValueError, match="init"):
             SolveOptions(init=bad)
     for kwargs in (
-        {"max_iters": 0},
         {"n_starts": 0},
-        {"grad_tol": 0.0},
         {"subspace": "odd"},
         {"seed": -1},
     ):
@@ -221,6 +219,20 @@ def test_gauge_picks_one_of_the_mirror_minimizers():
     assert abs(again.mult.c - res.mult.c) <= 1e-6
 
 
+@pytest.mark.parametrize("antisym", [False, True], ids=["full", "antisymmetric"])
+def test_gauge_fix_maps_mirror_pair_to_same_bits(antisym):
+    # u and -u(-x) share energy and constraints; in the anti-symmetric
+    # subspace -u(-x) is u's mirror across the x1-axis
+    from polarmin.solve import _antisym_project, _gauge_fix
+
+    g = build_polar_grid(disk(1.0), 24, 48)
+    u = smooth_field(g, 7).values
+    if antisym:
+        u = _antisym_project(g, u)
+    image = -np.roll(u, g.n_a // 2, axis=1)
+    assert np.array_equal(_gauge_fix(g, u, antisym).values, _gauge_fix(g, image, antisym).values)
+
+
 def test_half_support_competitor_identities():
     g = build_polar_grid(disk(1.0), 96, 192)
     params = ProblemParams(theta=0.1, p=8.0)
@@ -265,15 +277,16 @@ def test_certify_converged_run():
     assert record.passed
     assert record.mean_violation <= 1e-10
     assert record.norm_violation <= 1e-10
-    assert record.consistency_d <= 1e-3 * abs(record.identity_d)
+    assert record.consistency_d <= 1e-3 * abs(res.mult.d)
     assert record.rearrange_min_gap >= -1e-2 * abs(res.lam)
     assert record.rearrange_max_rel_dev <= 1e-2
 
 
-def test_certify_rejects_unconverged():
+def test_certify_rejects_unconverged(monkeypatch):
+    monkeypatch.setattr("polarmin.solve.MAX_ITERS", 1)
     g = build_polar_grid(disk(1.0), 16, 32)
     params = ProblemParams(theta=0.1, p=2.0)
-    res = minimize(params, g, SolveOptions(n_starts=1, seed=0, max_iters=1, grad_tol=1e-14))
+    res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
     assert not res.converged
     with pytest.raises(ValueError, match="converged"):
         certify(res, params)
