@@ -108,11 +108,7 @@ class SweepSpec:
             "axis": self.axis,
             "values": list(self.values),
             "grid": list(self.grid) if self.grid is not None else None,
-            "opts": {
-                f.name: getattr(self.opts, f.name)
-                for f in fields(SolveOptions)
-                if f.name != "init"
-            },
+            "opts": {"n_starts": self.opts.n_starts, "seed": self.opts.seed},
         }
 
 
@@ -389,6 +385,13 @@ def _build_opts(args) -> SolveOptions:
     return SolveOptions(n_starts=args.starts, seed=args.seed)
 
 
+def _make_out_dir(path: str | None) -> None:
+    """Create the --out directory before any solve, so an unusable one is a
+    usage error (OSError) instead of a failure after all the work."""
+    if path is not None:
+        Path(path).mkdir(parents=True, exist_ok=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="polarmin", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -435,6 +438,7 @@ def main(argv=None) -> int:
                 opts=_build_opts(args),
                 out_dir=args.out,
             )
+            _make_out_dir(args.out)
         except (OSError, ValueError) as exc:
             ap.error(str(exc))
         rows, extras = run_sweep_theta(spec) if args.cmd == "sweep-theta" else run_sweep_p(spec)
@@ -446,6 +450,7 @@ def main(argv=None) -> int:
         try:
             params, domain = _load_config(args.config)
             opts = _build_opts(args)
+            _make_out_dir(args.out)
         except (OSError, ValueError) as exc:
             ap.error(str(exc))
         dims = args.grid if args.grid else (96, 192)
@@ -475,6 +480,12 @@ def main(argv=None) -> int:
 
     if args.cmd == "rearrange":
         try:
+            if args.outfile:
+                out = Path(args.outfile)
+                if out.is_dir():
+                    ap.error(f"--out {out} is a directory")
+                if not out.parent.is_dir():
+                    ap.error(f"--out directory {out.parent} does not exist")
             f = parse_field(Path(args.infile).read_text())
             if args.op == "two-point":
                 if args.angle is None:

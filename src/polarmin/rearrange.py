@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .grids import (
     Field,
@@ -143,26 +142,47 @@ _MOLLIFIER_CACHE: dict[tuple, object] = {}
 def mollification_matrix(grid: PolarGrid, eps: float):
     """Row-stochastic smoothing matrix: compactly supported radial bump
     kernel (1 - (d/eps)^2)^2 at node-to-node Euclidean distances, columns
-    weighted by quadrature weight, rows normalized to sum 1."""
+    weighted by quadrature weight, rows normalized to sum 1.
+
+    The grid and the kernel are invariant under rotation by one angular
+    cell, so entry ((i, j), (i', j + s)) depends only on the rings i, i'
+    and the offset s.  Each ring's stencil is computed once, for
+    s in [0, n_a/2], and mirrored to -s, so it is exactly even in s and
+    the matrix commutes exactly with the grid's rotations and axis
+    reflections; the CSR arrays are its tiling over the ring's rows.
+    """
     if not eps > 0:
         raise ValueError("mollification radius must be positive")
     key = (grid.key(), float(eps))
     cached = _MOLLIFIER_CACHE.get(key)
     if cached is not None:
         return cached
-    r = np.repeat(grid.r_nodes, grid.n_a)
-    a = np.tile(grid.a_nodes, grid.n_r)
-    xy = np.column_stack([r * np.cos(a), r * np.sin(a)])
-    tree = cKDTree(xy)
-    mat = tree.sparse_distance_matrix(tree, eps, output_type="coo_matrix")
-    kern = (1.0 - (mat.data / eps) ** 2) ** 2
-    q = grid.w.ravel()
-    m = sp.coo_matrix((kern * q[mat.col], (mat.row, mat.col)), shape=mat.shape).tocsr()
-    # sparse_distance_matrix drops nothing within eps including d = 0, so
-    # every row has at least the node itself and a positive sum; dividing
-    # the stored data row-wise keeps an isolated node's weight exactly 1
-    rowsum = np.asarray(m.sum(axis=1)).ravel()
-    m.data /= np.repeat(rowsum, np.diff(m.indptr))
+    n_r, n_a = grid.n_r, grid.n_a
+    r = grid.r_nodes
+    ring_w = grid.w[:, 0]
+    eps2 = eps * eps
+    # d^2 = (r - r')^2 + 4 r r' sin^2(s da / 2), with no cancellation at
+    # small d; offsets s and n_a - s share one value, bit for bit
+    half = np.arange(n_a // 2 + 1)
+    sin2 = (4.0 * np.sin(half * (math.pi / n_a)) ** 2)[np.concatenate([half, half[-2:0:-1]])]
+    rows = np.arange(n_a)[:, None]
+    stencils = []
+    for i in range(n_r):
+        d2 = ((r[i] - r) ** 2)[:, None] + (r[i] * r)[:, None] * sin2[None, :]
+        ring, s = np.nonzero(d2 <= eps2)
+        # the node itself (d = 0) is always in, so the sum is positive and
+        # an isolated node keeps weight exactly 1
+        vals = (1.0 - d2[ring, s] / eps2) ** 2 * ring_w[ring]
+        stencils.append((vals / vals.sum(), ring * n_a, s))
+    counts = np.array([v.size for v, _, _ in stencils])
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(counts, n_a))])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for i, (vals, base, s) in enumerate(stencils):
+        block = slice(indptr[i * n_a], indptr[(i + 1) * n_a])
+        data[block].reshape(n_a, -1)[:] = vals
+        indices[block].reshape(n_a, -1)[:] = base + (rows + s) % n_a
+    m = sp.csr_matrix((data, indices, indptr), shape=(grid.n_nodes, grid.n_nodes))
     if len(_MOLLIFIER_CACHE) > 32:
         _MOLLIFIER_CACHE.clear()
     _MOLLIFIER_CACHE[key] = m
@@ -227,10 +247,13 @@ def _align(f: Field, norm: float, exhaustive: bool = False) -> tuple[float, np.n
         axis = _moment_axis(f, norm)
         s_lo = math.floor(axis / da)
         steps = (s_lo % n_a, (s_lo + 1) % n_a)
+    # every rotation of a circle has the same value multiset, so all
+    # candidates share one foliated symmetrization
+    target = foliated_symmetrize(f).values
     best = None
     for s in steps:
         g = rotate_field(f, s).values
-        fol = weighted_l2(grid, g - foliated_symmetrize(Field(grid, g)).values) / norm
+        fol = weighted_l2(grid, g - target) / norm
         if best is None or fol < best[2]:
             best = (s, g, fol)
     s, g, fol = best

@@ -99,6 +99,7 @@ def test_sweep_theta_outputs(tmp_path):
         "antisym_defect", "even_defect", "converged", "starts_agreement",
     }
     assert "runtime" not in json.dumps(manifest)
+    assert manifest["opts"] == {"n_starts": 1, "seed": 0}
     assert extras["grid_tol"] > 0
 
 
@@ -245,6 +246,12 @@ BAD_CONFIGS = {
          "mollification radius must be positive"),
         (["rearrange", "--op", "two-point", "--angle", "0.001", "--in", "{field}"],
          "not a multiple of half the angular spacing"),
+        (["check-foliated", "--grid", "16x32", "--out", "{field}"], "File exists"),
+        (["sweep-p", "--values", "2", "--grid", "16x32", "--out", "{field}"], "File exists"),
+        (["rearrange", "--op", "foliated", "--in", "{field}", "--out", "{missing}/x.txt"],
+         "does not exist"),
+        (["rearrange", "--op", "foliated", "--in", "{bad_field}", "--out", "{tmp}"],
+         "is a directory"),
     ],
     ids=["seed", "starts", "config", "eig", "radius-zero", "radius-negative", "radius-nan",
          "grid-check-foliated", "grid-sweep-p", "grid-sweep-theta", "sweep-p-annulus",
@@ -252,10 +259,11 @@ BAD_CONFIGS = {
          "no-threshold-flag", "config-zero-f-c0", "sweep-p-missing-config",
          "check-foliated-missing-config", "eig-negative-n-max", "eig-zero-k-max",
          "rearrange-malformed-field", "rearrange-missing-field", "rearrange-negative-eps",
-         "rearrange-off-grid-angle"],
+         "rearrange-off-grid-angle", "check-foliated-out-is-file", "sweep-p-out-is-file",
+         "rearrange-out-dir-missing", "rearrange-out-is-dir"],
 )
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, argv, message):
-    paths = {}
+    paths = {"tmp": tmp_path}
     for name, text in BAD_CONFIGS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polarmin
 from polarmin.functional import psi
 from polarmin.grids import (
     Field,
@@ -21,6 +26,7 @@ from polarmin.rearrange import (
     check_H_order,
     foliated_symmetrize,
     grid_half_planes,
+    mollification_matrix,
     mollify,
     symmetry_report,
     two_point_rearrange,
@@ -191,6 +197,59 @@ def test_mollify_preserves_two_point_order():
         neg = Field(g, -f.values)
         assert check_H_order(neg, h, 1e-12) == HOrder.IS_SIGMA_UH
         assert check_H_order(mollify(neg, 0.3), h, 1e-12) == HOrder.IS_SIGMA_UH
+
+
+def dense_mollifier(grid, eps):
+    """Independent oracle: the kernel pair by pair from Cartesian node
+    coordinates, times the column's quadrature weight, rows normalized."""
+    r = np.repeat(grid.r_nodes, grid.n_a)
+    a = np.tile(grid.a_nodes, grid.n_r)
+    x, y = r * np.cos(a), r * np.sin(a)
+    d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    inside = d <= eps
+    m = np.where(inside, (1.0 - (d / eps) ** 2) ** 2, 0.0) * grid.w.ravel()[None, :]
+    return inside, m / m.sum(axis=1, keepdims=True)
+
+
+def node_permutation(grid, angular):
+    """Node index map of an angular index map applied on every ring."""
+    return (np.arange(grid.n_r)[:, None] * grid.n_a + angular[None, :]).ravel()
+
+
+@pytest.mark.parametrize(
+    "domain, n_r, n_a",
+    [(disk(1.0), 6, 16), (disk(1.0), 12, 32), (annulus(0.5, 1.0), 8, 24)],
+    ids=["disk-6x16", "disk-12x32", "annulus-8x24"],
+)
+@pytest.mark.parametrize("eps", [0.01, 0.137, 0.41, 0.93, 2.5])
+def test_mollification_matrix_matches_dense_oracle(domain, n_r, n_a, eps):
+    g = build_polar_grid(domain, n_r, n_a)
+    m = mollification_matrix(g, eps)
+    inside, want = dense_mollifier(g, eps)
+    pattern = np.zeros(inside.shape, dtype=bool)
+    pattern[np.repeat(np.arange(g.n_nodes), np.diff(m.indptr)), m.indices] = True
+    assert np.array_equal(pattern, inside)
+    assert m.nnz == np.count_nonzero(inside)
+    got = m.toarray()
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.max(np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0)) <= 1e-14
+    # the stencil is exactly even in the angular offset, so the grid's
+    # rotations and axis reflections permute M onto itself bit for bit
+    j = np.arange(n_a)
+    for angular in ((j + 5) % n_a, reflection_index_map(g, math.pi / 2),
+                    reflection_index_map(g, 0.0)):
+        perm = node_permutation(g, angular)
+        assert np.array_equal(got[np.ix_(perm, perm)], got)
+
+
+def test_import_does_not_load_scipy_spatial():
+    # scipy.spatial costs tens of milliseconds of start-up on every command
+    code = "import sys, polarmin; print('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_symmetry_report_model_function():
