@@ -9,7 +9,9 @@ manifest carrying the full sweep specification and all derived values
 except wall times, so reruns with the same seed are byte-identical.
 
 Rows are executed sequentially because each one warm-starts from its
-predecessor.
+predecessor.  The refinement solve behind a sweep's grid_tol depends on no
+row, so it runs in a forked child beside the rows; sweeps therefore need a
+platform with the "fork" start method.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -192,15 +195,56 @@ def _warm(opts: SolveOptions, warm, grid) -> SolveOptions:
     return replace(opts, init=warm)
 
 
-def _estimate_grid_tol(spec: SweepSpec, rows: list) -> float:
+@contextmanager
+def _refinement(spec: SweepSpec):
+    """Solve the middle swept value cold on the doubled grid in a forked
+    child while the caller runs the rows.  Yields a function that waits for
+    the child's lambda and returns it, or raises the child's exception.  The
+    child is joined, or terminated and joined, before the block is left."""
+    import multiprocessing
+
+    value = spec.values[len(spec.values) // 2]
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def solve():  # runs in the child, on the inputs the fork copied
+        try:
+            n_r, n_a = spec.grid_for(value)
+            fine_grid = build_polar_grid(spec.domain, 2 * n_r, 2 * n_a)
+            out = minimize(spec.params_at(value), fine_grid, replace(spec.opts, n_starts=1)).lam
+        except Exception as exc:
+            out = exc
+        send.send(out)
+
+    child = ctx.Process(target=solve)
+    child.start()
+    send.close()
+
+    def wait() -> float:
+        try:
+            out = recv.recv()
+        except EOFError:  # the child died before it could send
+            child.join()
+            raise RuntimeError(f"refinement solve exited with code {child.exitcode}") from None
+        child.join()
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    try:
+        yield wait
+    finally:
+        recv.close()
+        child.terminate()  # a no-op once wait() has joined it
+        child.join()
+
+
+def _estimate_grid_tol(fine_lam, rows: list) -> float:
     """Gap between the middle row (by swept value) and its one-step
-    refinement; the significance threshold for the strict inequalities the
-    sweep reports."""
+    refinement, whose lambda fine_lam() returns; the significance threshold
+    for the strict inequalities the sweep reports."""
     mid = sorted(rows, key=lambda r: r.value)[len(rows) // 2]
-    n_r, n_a = spec.grid_for(mid.value)
-    fine_grid = build_polar_grid(spec.domain, 2 * n_r, 2 * n_a)
-    res = minimize(spec.params_at(mid.value), fine_grid, replace(spec.opts, n_starts=1))
-    return max(abs(res.lam - mid.lam), 1e-9)
+    return max(abs(fine_lam() - mid.lam), 1e-9)
 
 
 def _write_outputs(spec: SweepSpec, name: str, rows: list, manifest_extra: dict) -> None:
@@ -224,15 +268,16 @@ def run_sweep_theta(spec: SweepSpec) -> tuple[list, dict]:
         raise ValueError("theta sweep requires axis 'theta'")
     rows = []
     warm = None
-    for value in sorted(spec.values, reverse=True):
-        params = spec.params_at(value)
-        grid = build_polar_grid(spec.domain, *spec.grid_for(value))
-        t0 = time.perf_counter()
-        res = minimize(params, grid, _warm(spec.opts, warm, grid))
-        _validate_result(params, res)
-        rows.append(_row_from(value, res, None, time.perf_counter() - t0))
-        warm = res.u
-    grid_tol = _estimate_grid_tol(spec, rows)
+    with _refinement(spec) as fine_lam:
+        for value in sorted(spec.values, reverse=True):
+            params = spec.params_at(value)
+            grid = build_polar_grid(spec.domain, *spec.grid_for(value))
+            t0 = time.perf_counter()
+            res = minimize(params, grid, _warm(spec.opts, warm, grid))
+            _validate_result(params, res)
+            rows.append(_row_from(value, res, None, time.perf_counter() - t0))
+            warm = res.u
+        grid_tol = _estimate_grid_tol(fine_lam, rows)
     lam2 = neumann_mode(1, 1, radius=spec.domain.r_outer).eigenvalue
     # rows run with theta decreasing; lambda should not decrease along them
     lam_seq = [r.lam for r in rows]
@@ -275,22 +320,23 @@ def run_sweep_p(spec: SweepSpec) -> tuple[list, dict]:
     rows = []
     competitor_objectives = {}
     warm_full = warm_as = None
-    for value in sorted(spec.values):
-        params = spec.params_at(value)
-        grid = build_polar_grid(spec.domain, *spec.grid_for(value))
-        t0 = time.perf_counter()
-        res_as = minimize_antisymmetric(params, grid, _warm(spec.opts, warm_as, grid))
-        warm_as = res_as.u
-        competitor = build_half_support_competitor(res_as.u, params)
-        competitor_objectives[value] = eval_objective(params, competitor)
-        res_full = minimize(params, grid, _warm(spec.opts, warm_full, grid))
-        res_comp = minimize(params, grid, replace(spec.opts, init=competitor, n_starts=1))
-        if res_comp.converged and (not res_full.converged or res_comp.lam < res_full.lam):
-            res_full = res_comp
-        warm_full = res_full.u
-        _validate_result(params, res_full)
-        rows.append(_row_from(value, res_full, res_as.lam, time.perf_counter() - t0))
-    grid_tol = _estimate_grid_tol(spec, rows)
+    with _refinement(spec) as fine_lam:
+        for value in sorted(spec.values):
+            params = spec.params_at(value)
+            grid = build_polar_grid(spec.domain, *spec.grid_for(value))
+            t0 = time.perf_counter()
+            res_as = minimize_antisymmetric(params, grid, _warm(spec.opts, warm_as, grid))
+            warm_as = res_as.u
+            competitor = build_half_support_competitor(res_as.u, params)
+            competitor_objectives[value] = eval_objective(params, competitor)
+            res_full = minimize(params, grid, _warm(spec.opts, warm_full, grid))
+            res_comp = minimize(params, grid, replace(spec.opts, init=competitor, n_starts=1))
+            if res_comp.converged and (not res_full.converged or res_comp.lam < res_full.lam):
+                res_full = res_comp
+            warm_full = res_full.u
+            _validate_result(params, res_full)
+            rows.append(_row_from(value, res_full, res_as.lam, time.perf_counter() - t0))
+        grid_tol = _estimate_grid_tol(fine_lam, rows)
     onset = None
     for r in rows:
         if r.lam_as - r.lam > 3.0 * grid_tol:

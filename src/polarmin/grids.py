@@ -369,7 +369,8 @@ def dump_field(f: Field) -> str:
     lines = [f"# {grid.n_r} {grid.n_a} {float(d.r_inner)!r} {float(d.r_outer)!r}"]
     angles = [repr(a) for a in grid.a_nodes.tolist()]
     for r, ring in zip(grid.r_nodes.tolist(), f.values):
-        lines.extend(f"{r!r} {a} {v!r}" for a, v in zip(angles, ring.tolist()))
+        r = repr(r)  # once per ring, not once per node
+        lines.extend(f"{r} {a} {v!r}" for a, v in zip(angles, ring.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -377,27 +378,36 @@ def parse_field(text: str) -> Field:
     """Inverse of dump_field.  Rejects a node line whose r or a is not the
     header grid's node at that position (lines reordered, or taken from
     another grid)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+    lines = text.splitlines()
+    # blank lines are skipped: before the header here, in the body by loadtxt
+    k = next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
+    if k == len(lines) or not lines[k].startswith("#"):
         raise ValueError("missing field header line")
-    head = lines[0][1:].split()
+    head = lines[k][1:].split()
     if len(head) != 4:
         raise ValueError("malformed field header")
     n_r, n_a = int(head[0]), int(head[1])
     r_inner, r_outer = float(head[2]), float(head[3])
     domain = disk(r_outer) if r_inner == 0.0 else annulus(r_inner, r_outer)
     grid = build_polar_grid(domain, n_r, n_a)
-    body = lines[1:]
-    if len(body) != n_r * n_a:
-        raise ValueError(f"expected {n_r * n_a} node lines, got {len(body)}")
+    del lines[: k + 1]  # leaves the node lines; a sliced copy raises peak memory
     try:
-        nodes = np.loadtxt(body, comments=None, ndmin=2)
+        if not any(map(str.strip, lines)):  # loadtxt would only warn
+            raise ValueError("no node lines")
+        nodes = np.loadtxt(lines, comments=None, ndmin=2)
         if nodes.shape[1] != 3:
             raise ValueError(f"{nodes.shape[1]} columns")
+        count = len(nodes)
     except ValueError as err:
+        nodes = None
+        count = sum(1 for ln in lines if ln.strip())
         # name the first line without three columns, else what loadtxt found
-        bad = next((repr(ln) for ln in body if len(ln.split()) != 3), str(err))
-        raise ValueError(f"malformed node line: {bad}") from None
+        bad = next((repr(ln) for ln in lines if len(ln.split()) not in (0, 3)), str(err))
+    # a wrong node count is reported before a malformed line
+    if count != n_r * n_a:
+        raise ValueError(f"expected {n_r * n_a} node lines, got {count}")
+    if nodes is None:
+        raise ValueError(f"malformed node line: {bad}")
     r, a, vals = nodes.T.reshape(3, n_r, n_a)
     r_ok = np.isclose(r, grid.r_nodes[:, None], rtol=0.0, atol=1e-9 * r_outer)
     off = np.argwhere(~(r_ok & np.isclose(a, grid.a_nodes, rtol=0.0, atol=1e-9)))

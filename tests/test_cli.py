@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +326,71 @@ def test_warm_start_rows_agree_with_cold(tmp_path):
             ProblemParams(theta=r.value, p=2.0), grid, SolveOptions(n_starts=1, seed=0)
         )
         assert abs(cold.lam - r.lam) <= 1e-3 * abs(cold.lam)
+
+
+def theta_spec_24x48():
+    return SweepSpec(
+        params_base=ProblemParams(theta=0.1, p=2.0),
+        domain=disk(1.0),
+        axis="theta",
+        values=(0.05, 0.1, 0.2),
+        grid=(24, 48),
+        opts=SolveOptions(n_starts=1, seed=0),
+    )
+
+
+def test_grid_tol_is_the_in_process_refinement_gap():
+    from polarmin.solve import minimize
+
+    spec = theta_spec_24x48()
+    rows, extras = run_sweep_theta(spec)
+    mid = next(r for r in rows if r.value == 0.1)
+    fine = minimize(
+        spec.params_at(0.1), build_polar_grid(disk(1.0), 48, 96), SolveOptions(n_starts=1, seed=0)
+    )
+    assert extras["grid_tol"] == max(abs(fine.lam - mid.lam), 1e-9)
+
+
+def test_sweep_leaves_no_child_process(monkeypatch):
+    from polarmin import cli
+
+    run_sweep_theta(theta_spec_24x48())
+    assert multiprocessing.active_children() == []
+
+    def reject(params, res):
+        raise RuntimeError("row validation failed: rejected by the test")
+
+    monkeypatch.setattr(cli, "_validate_result", reject)
+    with pytest.raises(RuntimeError, match="rejected by the test"):
+        run_sweep_theta(theta_spec_24x48())
+    assert multiprocessing.active_children() == []
+
+
+def test_refinement_failure_surfaces_in_the_parent(monkeypatch):
+    from polarmin import cli
+
+    build = cli.build_polar_grid
+
+    def build_failing_fine(domain, n_r, n_a):
+        if (n_r, n_a) == (48, 96):
+            raise ValueError("doubled grid refused by the test")
+        return build(domain, n_r, n_a)
+
+    monkeypatch.setattr(cli, "build_polar_grid", build_failing_fine)
+    with pytest.raises(ValueError, match="doubled grid refused by the test"):
+        run_sweep_theta(theta_spec_24x48())
+    assert multiprocessing.active_children() == []
+
+    # a child that dies without sending is an error, not a hang
+    def build_exiting_fine(domain, n_r, n_a):
+        if (n_r, n_a) == (48, 96):
+            os._exit(3)
+        return build(domain, n_r, n_a)
+
+    monkeypatch.setattr(cli, "build_polar_grid", build_exiting_fine)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_sweep_theta(theta_spec_24x48())
+    assert multiprocessing.active_children() == []
 
 
 def test_check_foliated_writes_field_dump(tmp_path):

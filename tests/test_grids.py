@@ -307,6 +307,14 @@ def test_parse_rejects_malformed():
     lines = text.splitlines()
     with pytest.raises(ValueError, match="node lines"):
         parse_field("\n".join(lines[:-1]))
+    with pytest.raises(ValueError, match="expected 8 node lines, got 0"):
+        parse_field(lines[0] + "\n \n\n")
+    # a wrong node count is named before a malformed line
+    with pytest.raises(ValueError, match="expected 8 node lines, got 7"):
+        parse_field("\n".join(lines[:2] + [lines[2] + " 1.0"] + lines[3:-1]))
+    # blank and whitespace-only lines are skipped anywhere
+    spaced = "\n \n" + "\n\t\n".join(lines) + "\n\n"
+    assert parse_field(spaced).values.tobytes() == parse_field(text).values.tobytes()
 
 
 def test_parse_rejects_lines_off_the_grid():

@@ -243,13 +243,17 @@ def test_mollification_matrix_matches_dense_oracle(domain, n_r, n_a, eps):
 
 
 def test_import_does_not_load_scipy_spatial():
-    # scipy.spatial costs tens of milliseconds of start-up on every command
-    code = "import sys, polarmin; print('scipy.spatial' in sys.modules)"
+    # scipy.spatial costs tens of milliseconds of start-up on every command;
+    # multiprocessing is loaded only by a sweep, which forks its refinement
+    code = (
+        "import sys, polarmin; "
+        "print('scipy.spatial' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_symmetry_report_model_function():
