@@ -70,14 +70,16 @@ FOLIATED_DEFECT_THRESHOLD = 5e-2
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: the base problem, the swept axis and its values."""
+    """One sweep: the base problem, the swept axis and its values, and the
+    starts and seed of the row solves; the sweep sets every other option."""
 
     params_base: ProblemParams
     domain: RadialDomain
     axis: str  # "theta" | "p"
     values: tuple
     grid: tuple | None  # (n_r, n_a); None picks the default per row
-    opts: SolveOptions
+    n_starts: int = 1
+    seed: int = 0
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -92,6 +94,7 @@ class SweepSpec:
         if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("values must be nonempty and strictly increasing")
         object.__setattr__(self, "values", vals)
+        SolveOptions(self.n_starts, self.seed)  # admissibility of the solver settings
         for v in vals:
             self.params_at(v)  # admissibility of every row
 
@@ -111,7 +114,7 @@ class SweepSpec:
             "axis": self.axis,
             "values": list(self.values),
             "grid": list(self.grid) if self.grid is not None else None,
-            "opts": {"n_starts": self.opts.n_starts, "seed": self.opts.seed},
+            "opts": {"n_starts": self.n_starts, "seed": self.seed},
         }
 
 
@@ -188,19 +191,19 @@ def _row_from(value: float, res: MinimizeResult, lam_as, runtime: float) -> Swee
     )
 
 
-def _warm(opts: SolveOptions, warm, grid) -> SolveOptions:
-    """opts, started from the previous row's minimizer when it lives on grid."""
-    if warm is None or warm.grid.key() != grid.key():
-        return opts
-    return replace(opts, init=warm)
+def _row_opts(spec: SweepSpec, warm, grid) -> SolveOptions:
+    """A row solve's options: from warm when it lives on grid, else the eigenmode."""
+    init = warm if warm is not None and warm.grid.key() == grid.key() else "eigenmode"
+    return SolveOptions(spec.n_starts, spec.seed, init)
 
 
 @contextmanager
 def _refinement(spec: SweepSpec):
-    """Solve the middle swept value cold on the doubled grid in a forked
-    child while the caller runs the rows.  Yields a function that waits for
-    the child's lambda and returns it, or raises the child's exception.  The
-    child is joined, or terminated and joined, before the block is left."""
+    """Solve the middle swept value cold (one eigenmode start) on the doubled
+    grid in a forked child while the caller runs the rows.  Yields that value
+    and a function that waits for the child's lambda and returns it, or raises
+    the child's exception.  The child is joined, or terminated and joined,
+    before the block is left."""
     import multiprocessing
 
     value = spec.values[len(spec.values) // 2]
@@ -211,7 +214,7 @@ def _refinement(spec: SweepSpec):
         try:
             n_r, n_a = spec.grid_for(value)
             fine_grid = build_polar_grid(spec.domain, 2 * n_r, 2 * n_a)
-            out = minimize(spec.params_at(value), fine_grid, replace(spec.opts, n_starts=1)).lam
+            out = minimize(spec.params_at(value), fine_grid, SolveOptions(seed=spec.seed)).lam
         except Exception as exc:
             out = exc
         send.send(out)
@@ -232,18 +235,17 @@ def _refinement(spec: SweepSpec):
         return out
 
     try:
-        yield wait
+        yield value, wait
     finally:
         recv.close()
         child.terminate()  # a no-op once wait() has joined it
         child.join()
 
 
-def _estimate_grid_tol(fine_lam, rows: list) -> float:
-    """Gap between the middle row (by swept value) and its one-step
-    refinement, whose lambda fine_lam() returns; the significance threshold
-    for the strict inequalities the sweep reports."""
-    mid = sorted(rows, key=lambda r: r.value)[len(rows) // 2]
+def _estimate_grid_tol(fine_lam, mid: SweepRow) -> float:
+    """Gap between the middle row and its one-step refinement, whose lambda
+    fine_lam() returns; the significance threshold for the strict
+    inequalities the sweep reports."""
     return max(abs(fine_lam() - mid.lam), 1e-9)
 
 
@@ -268,16 +270,16 @@ def run_sweep_theta(spec: SweepSpec) -> tuple[list, dict]:
         raise ValueError("theta sweep requires axis 'theta'")
     rows = []
     warm = None
-    with _refinement(spec) as fine_lam:
+    with _refinement(spec) as (mid, fine_lam):
         for value in sorted(spec.values, reverse=True):
             params = spec.params_at(value)
             grid = build_polar_grid(spec.domain, *spec.grid_for(value))
             t0 = time.perf_counter()
-            res = minimize(params, grid, _warm(spec.opts, warm, grid))
+            res = minimize(params, grid, _row_opts(spec, warm, grid))
             _validate_result(params, res)
             rows.append(_row_from(value, res, None, time.perf_counter() - t0))
             warm = res.u
-        grid_tol = _estimate_grid_tol(fine_lam, rows)
+        grid_tol = _estimate_grid_tol(fine_lam, next(r for r in rows if r.value == mid))
     lam2 = neumann_mode(1, 1, radius=spec.domain.r_outer).eigenvalue
     # rows run with theta decreasing; lambda should not decrease along them
     lam_seq = [r.lam for r in rows]
@@ -320,23 +322,23 @@ def run_sweep_p(spec: SweepSpec) -> tuple[list, dict]:
     rows = []
     competitor_objectives = {}
     warm_full = warm_as = None
-    with _refinement(spec) as fine_lam:
+    with _refinement(spec) as (mid, fine_lam):
         for value in sorted(spec.values):
             params = spec.params_at(value)
             grid = build_polar_grid(spec.domain, *spec.grid_for(value))
             t0 = time.perf_counter()
-            res_as = minimize_antisymmetric(params, grid, _warm(spec.opts, warm_as, grid))
+            res_as = minimize_antisymmetric(params, grid, _row_opts(spec, warm_as, grid))
             warm_as = res_as.u
             competitor = build_half_support_competitor(res_as.u, params)
             competitor_objectives[value] = eval_objective(params, competitor)
-            res_full = minimize(params, grid, _warm(spec.opts, warm_full, grid))
-            res_comp = minimize(params, grid, replace(spec.opts, init=competitor, n_starts=1))
+            res_full = minimize(params, grid, _row_opts(spec, warm_full, grid))
+            res_comp = minimize(params, grid, SolveOptions(seed=spec.seed, init=competitor))
             if res_comp.converged and (not res_full.converged or res_comp.lam < res_full.lam):
                 res_full = res_comp
             warm_full = res_full.u
             _validate_result(params, res_full)
             rows.append(_row_from(value, res_full, res_as.lam, time.perf_counter() - t0))
-        grid_tol = _estimate_grid_tol(fine_lam, rows)
+        grid_tol = _estimate_grid_tol(fine_lam, next(r for r in rows if r.value == mid))
     onset = None
     for r in rows:
         if r.lam_as - r.lam > 3.0 * grid_tol:
@@ -427,10 +429,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--starts", type=int, default=1)
 
 
-def _build_opts(args) -> SolveOptions:
-    return SolveOptions(n_starts=args.starts, seed=args.seed)
-
-
 def _make_out_dir(path: str | None) -> None:
     """Create the --out directory before any solve, so an unusable one is a
     usage error (OSError) instead of a failure after all the work."""
@@ -481,7 +479,8 @@ def main(argv=None) -> int:
                 axis="theta" if args.cmd == "sweep-theta" else "p",
                 values=tuple(sorted(values)),
                 grid=args.grid,
-                opts=_build_opts(args),
+                n_starts=args.starts,
+                seed=args.seed,
                 out_dir=args.out,
             )
             _make_out_dir(args.out)
@@ -495,7 +494,7 @@ def main(argv=None) -> int:
     if args.cmd == "check-foliated":
         try:
             params, domain = _load_config(args.config)
-            opts = _build_opts(args)
+            opts = SolveOptions(n_starts=args.starts, seed=args.seed)
             _make_out_dir(args.out)
         except (OSError, ValueError) as exc:
             ap.error(str(exc))

@@ -389,7 +389,7 @@ def parse_field(text: str) -> Field:
     n_r, n_a = int(head[0]), int(head[1])
     r_inner, r_outer = float(head[2]), float(head[3])
     domain = disk(r_outer) if r_inner == 0.0 else annulus(r_inner, r_outer)
-    grid = build_polar_grid(domain, n_r, n_a)
+    _check_dims(n_r, n_a)  # the grid is built once the node count matches
     del lines[: k + 1]  # leaves the node lines; a sliced copy raises peak memory
     try:
         if not any(map(str.strip, lines)):  # loadtxt would only warn
@@ -408,6 +408,7 @@ def parse_field(text: str) -> Field:
         raise ValueError(f"expected {n_r * n_a} node lines, got {count}")
     if nodes is None:
         raise ValueError(f"malformed node line: {bad}")
+    grid = build_polar_grid(domain, n_r, n_a)
     r, a, vals = nodes.T.reshape(3, n_r, n_a)
     r_ok = np.isclose(r, grid.r_nodes[:, None], rtol=0.0, atol=1e-9 * r_outer)
     off = np.argwhere(~(r_ok & np.isclose(a, grid.a_nodes, rtol=0.0, atol=1e-9)))

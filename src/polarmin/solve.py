@@ -257,7 +257,7 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
         if antisym:
             g_red = _antisym_project(grid, g_red)
             z_red = _antisym_project(grid, z_red)
-        gTz = float(g_red.ravel() @ z_red.ravel())
+        gTz = float(np.sum(g_red * z_red))  # not a BLAS dot, as in evaluate
         gnorm = math.sqrt(max(gTz, 0.0))
         if gnorm <= GRAD_TOL:
             converged = True

@@ -68,7 +68,7 @@ def theta_sweep(tmp_path_factory):
         axis="theta",
         values=(0.02, 0.05, 0.10, 0.20, 0.30),
         grid=(96, 192),
-        opts=SolveOptions(n_starts=4, seed=0),
+        n_starts=4, seed=0,
         out_dir=str(tmp_path_factory.mktemp("sweep_theta")),
     )
     return run_sweep_theta(spec)
@@ -82,7 +82,7 @@ def p_sweep(tmp_path_factory):
         axis="p",
         values=(2.0, 4.0, 8.0, 16.0, 24.0, 32.0),
         grid=None,
-        opts=SolveOptions(n_starts=2, seed=0),
+        n_starts=2, seed=0,
         out_dir=str(tmp_path_factory.mktemp("sweep_p")),
     )
     return run_sweep_p(spec)

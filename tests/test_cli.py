@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ def small_theta_spec(out_dir, seed=0):
         axis="theta",
         values=(0.1, 0.2),
         grid=(32, 64),
-        opts=SolveOptions(n_starts=1, seed=seed),
+        n_starts=1, seed=seed,
         out_dir=str(out_dir),
     )
 
@@ -50,7 +51,6 @@ def test_sweep_spec_validation():
             axis="theta",
             values=(0.2, 0.1),
             grid=(32, 64),
-            opts=SolveOptions(),
         )
     with pytest.raises(ValueError):
         SweepSpec(
@@ -59,7 +59,6 @@ def test_sweep_spec_validation():
             axis="theta",
             values=(0.1, 0.6),  # inadmissible theta
             grid=(32, 64),
-            opts=SolveOptions(),
         )
     with pytest.raises(ValueError, match="p sweep is posed on the disk"):
         SweepSpec(
@@ -68,7 +67,6 @@ def test_sweep_spec_validation():
             axis="p",
             values=(2.0, 4.0),
             grid=(32, 64),
-            opts=SolveOptions(),
         )
     # only the theta axis fixes the base p and F
     SweepSpec(
@@ -77,7 +75,6 @@ def test_sweep_spec_validation():
         axis="p",
         values=(2.0, 4.0),
         grid=(32, 64),
-        opts=SolveOptions(),
     )
 
 
@@ -127,7 +124,6 @@ def test_sweep_theta_preconditions():
             axis="theta",
             values=(0.1, 0.2),
             grid=(32, 64),
-            opts=SolveOptions(),
         )
     with pytest.raises(ValueError, match="F = 0"):
         SweepSpec(
@@ -136,7 +132,6 @@ def test_sweep_theta_preconditions():
             axis="theta",
             values=(0.1, 0.2),
             grid=(32, 64),
-            opts=SolveOptions(),
         )
     with pytest.raises(ValueError, match="disk"):
         SweepSpec(
@@ -145,7 +140,6 @@ def test_sweep_theta_preconditions():
             axis="theta",
             values=(0.1, 0.2),
             grid=(32, 64),
-            opts=SolveOptions(),
         )
 
 
@@ -156,7 +150,7 @@ def test_sweep_p_outputs(tmp_path):
         axis="p",
         values=(4.0, 8.0),
         grid=(32, 64),
-        opts=SolveOptions(n_starts=1, seed=0),
+        n_starts=1, seed=0,
         out_dir=str(tmp_path),
     )
     rows, extras = run_sweep_p(spec)
@@ -168,6 +162,56 @@ def test_sweep_p_outputs(tmp_path):
     assert len(manifest["competitor_objectives"]) == 2
 
 
+def test_sweep_sets_its_solves_options(tmp_path, monkeypatch):
+    # the spec carries only the starts and seed its manifest records; the
+    # sweep picks each solve's start and subspace.  Calls are logged to a
+    # file so the forked refinement child's call is seen too.
+    from polarmin import cli
+
+    log = tmp_path / "calls.jsonl"
+
+    def recording(name, solve):
+        def call(params, grid, opts):
+            entry = [name, params.p, grid.n_r, opts.n_starts, opts.seed,
+                     isinstance(opts.init, Field), opts.subspace]
+            with open(log, "a") as fh:
+                fh.write(json.dumps(entry) + "\n")
+            return solve(params, grid, opts)
+        return call
+
+    monkeypatch.setattr(cli, "minimize", recording("full", cli.minimize))
+    monkeypatch.setattr(cli, "minimize_antisymmetric", recording("as", cli.minimize_antisymmetric))
+    spec = SweepSpec(
+        params_base=ProblemParams(theta=0.1, p=2.0),
+        domain=disk(1.0),
+        axis="p",
+        values=(2.0, 8.0),
+        grid=(24, 48),
+        n_starts=2, seed=7,
+        out_dir=str(tmp_path),
+    )
+    run_sweep_p(spec)
+    calls = [json.loads(ln) for ln in log.read_text().splitlines()]
+    # per row: the anti-symmetric and the full row solves, warm once a
+    # previous row exists, then the one-start competitor solve
+    assert [c for c in calls if c[2] == 24] == [
+        ["as", 2.0, 24, 2, 7, False, "full"],
+        ["full", 2.0, 24, 2, 7, False, "full"],
+        ["full", 2.0, 24, 1, 7, True, "full"],
+        ["as", 8.0, 24, 2, 7, True, "full"],
+        ["full", 8.0, 24, 2, 7, True, "full"],
+        ["full", 8.0, 24, 1, 7, True, "full"],
+    ]
+    # the refinement of the middle value: one cold start on the doubled grid
+    assert [c for c in calls if c[2] != 24] == [["full", 8.0, 48, 1, 7, False, "full"]]
+    manifest = json.loads((tmp_path / "sweep_p_manifest.json").read_text())
+    assert manifest["opts"] == {"n_starts": 2, "seed": 7}
+    for bad, message in ((dict(n_starts=0), "n_starts must be positive"),
+                         (dict(seed=-1), "seed must be nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            replace(spec, **bad)
+
+
 def test_sweep_p_grid_defaults():
     spec = SweepSpec(
         params_base=ProblemParams(theta=0.1, p=2.0),
@@ -175,7 +219,6 @@ def test_sweep_p_grid_defaults():
         axis="p",
         values=(2.0, 16.0),
         grid=None,
-        opts=SolveOptions(),
     )
     assert spec.grid_for(2.0) == (96, 192)
     assert spec.grid_for(16.0) == (128, 256)
@@ -228,6 +271,8 @@ BAD_CONFIGS = {
         (["eig", "--radius", "0"], "radius must be finite and > 0"),
         (["eig", "--radius", "-2", "--n-max", "0", "--k-max", "1"], "radius must be finite and > 0"),
         (["eig", "--radius", "nan"], "radius must be finite and > 0"),
+        (["check-foliated", "--seed", "-1"], "seed must be nonnegative"),
+        (["check-foliated", "--starts", "0"], "n_starts must be positive"),
         (["check-foliated", "--grid", "1x2"], "n_a must be divisible by 4"),
         (["sweep-p", "--grid", "1x2", "--values", "2"], "n_a must be divisible by 4"),
         (["sweep-theta", "--grid", "8x6", "--values", "0.1"], "n_a must be divisible by 4"),
@@ -256,6 +301,7 @@ BAD_CONFIGS = {
          "is a directory"),
     ],
     ids=["seed", "starts", "config", "eig", "radius-zero", "radius-negative", "radius-nan",
+         "check-foliated-seed", "check-foliated-starts",
          "grid-check-foliated", "grid-sweep-p", "grid-sweep-theta", "sweep-p-annulus",
          "sweep-theta-p3", "config-no-r-inner", "config-theta-null", "config-c0-null",
          "no-threshold-flag", "config-zero-f-c0", "sweep-p-missing-config",
@@ -316,7 +362,7 @@ def test_warm_start_rows_agree_with_cold(tmp_path):
         axis="theta",
         values=(0.05, 0.1, 0.2),
         grid=(32, 64),
-        opts=SolveOptions(n_starts=1, seed=0),
+        n_starts=1, seed=0,
         out_dir=str(tmp_path),
     )
     rows, _ = run_sweep_theta(spec)
@@ -335,7 +381,7 @@ def theta_spec_24x48():
         axis="theta",
         values=(0.05, 0.1, 0.2),
         grid=(24, 48),
-        opts=SolveOptions(n_starts=1, seed=0),
+        n_starts=1, seed=0,
     )
 
 

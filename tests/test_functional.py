@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polarmin
 from polarmin.functional import (
     FSpec,
     Multipliers,
@@ -416,3 +421,30 @@ def test_config_defaults():
     )
     assert params == ProblemParams(theta=0.1, p=2.0)
     assert dom == disk(1.0)
+
+
+def test_energy_is_the_same_at_any_blas_thread_count():
+    # a BLAS dot product splits its sum across the BLAS threads, so its
+    # last bit could depend on the thread count; sweep manifests are
+    # byte-identical only if the energy is not
+    code = (
+        "import numpy as np\n"
+        "from polarmin.functional import ProblemParams, eval_objective\n"
+        "from polarmin.grids import Field, build_polar_grid, disk\n"
+        "params = ProblemParams(theta=0.1, p=4.0)\n"
+        "for dims in ((96, 192), (128, 256)):\n"
+        "    grid = build_polar_grid(disk(1.0), *dims)\n"
+        "    for seed in range(8):\n"
+        "        vals = np.random.default_rng(seed).normal(size=grid.shape)\n"
+        "        print(eval_objective(params, Field(grid, vals)).hex())\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        outs.append(out.stdout.split())
+    assert len(outs[0]) == 16
+    assert outs[0] == outs[1]

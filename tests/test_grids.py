@@ -317,6 +317,24 @@ def test_parse_rejects_malformed():
     assert parse_field(spaced).values.tobytes() == parse_field(text).values.tobytes()
 
 
+def test_parse_checks_the_header_before_building_the_grid(monkeypatch):
+    # a short file whose header names a huge grid is refused without
+    # building that grid (8e10 bytes of weights for the last header)
+    import polarmin.grids
+
+    def refuse(domain, n_r, n_a):
+        raise AssertionError(f"built a {n_r}x{n_a} grid")
+
+    monkeypatch.setattr(polarmin.grids, "build_polar_grid", refuse)
+    body = "\n0.25 0.0 1.0\n"
+    with pytest.raises(ValueError, match="expected 8000000 node lines, got 1"):
+        parse_field("# 2000 4000 0.0 1.0" + body)
+    with pytest.raises(ValueError, match="expected 10000000000 node lines, got 1"):
+        parse_field("# 100000 100000 0.0 1.0" + body)
+    with pytest.raises(ValueError, match="n_a must be divisible by 4"):
+        parse_field("# 2000 4002 0.0 1.0" + body)
+
+
 def test_parse_rejects_lines_off_the_grid():
     g = build_polar_grid(annulus(0.5, 1.0), 4, 8)
     lines = dump_field(smooth_field(g, 4)).splitlines()
