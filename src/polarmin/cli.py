@@ -387,7 +387,7 @@ def run_check_foliated(
         out["reason"] = "solver did not converge"
     else:
         record = certify(res, params)
-        out["certification"] = record.to_dict()
+        out["certification"] = asdict(record)
         out["passed"] = bool(
             record.passed and res.symmetry.foliated_defect <= FOLIATED_DEFECT_THRESHOLD
         )

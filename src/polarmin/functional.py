@@ -44,9 +44,6 @@ __all__ = [
     "config_from_json",
 ]
 
-P_REGULARIZATION = 1e-8  # smoothing of |u|^{p-2} u at 0 when p < 2
-
-
 @dataclass(frozen=True)
 class FSpec:
     """Lower-order term F.  'zero' means F = 0; 'power_law' means
@@ -227,12 +224,9 @@ def euler_residual(params: ProblemParams, u: Field, mult: Multipliers) -> Field:
     return Field(grid, 0.5 * pt.grad / grid.w + pointwise * pt.dphi)
 
 
-def signed_power(u: np.ndarray, p: float, delta: float = 0.0) -> np.ndarray:
-    """|u|^{p-2} u, optionally smoothed as u (u^2 + delta^2)^{(p-2)/2} for
-    p < 2 where the bare expression is non-Lipschitz at 0."""
-    if p >= 2.0 or delta == 0.0:
-        return np.sign(u) * np.abs(u) ** (p - 1.0)
-    return u * (u * u + delta * delta) ** (0.5 * (p - 2.0))
+def signed_power(u: np.ndarray, p: float) -> np.ndarray:
+    """|u|^{p-2} u as sgn(u) |u|^{p-1}, which is finite at 0 for every p > 1."""
+    return np.sign(u) * np.abs(u) ** (p - 1.0)
 
 
 def multipliers_from_identities(params: ProblemParams, u: Field) -> Multipliers:

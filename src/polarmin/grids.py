@@ -26,7 +26,6 @@ __all__ = [
     "build_polar_grid",
     "integrate",
     "grad_sq",
-    "dirichlet_energy",
     "reflect_field",
     "rotate_field",
     "reflection_index_map",
@@ -305,12 +304,6 @@ def grad_sq(f: Field) -> Field:
     dfwd = (grid._angular_fwd_diff @ F).reshape(grid.shape)
     gsq = dradial**2 + 0.5 * (dfwd**2 + np.roll(dfwd, 1, axis=1) ** 2)
     return Field(grid, gsq)
-
-
-def dirichlet_energy(grid: PolarGrid, values: np.ndarray) -> float:
-    """f.A.f, equal to integrate(grad_sq(f)) up to roundoff."""
-    v = values.ravel()
-    return float(v @ (grid.stiffness @ v))
 
 
 def _half_units(grid: PolarGrid, angle: float) -> int:

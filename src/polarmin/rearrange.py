@@ -212,11 +212,8 @@ class SymmetryReport:
     antisym_defect: float
     even_defect: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _moment_axis(f: Field, norm: float) -> float:

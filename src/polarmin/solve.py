@@ -24,7 +24,6 @@ import numpy as np
 
 from .functional import (
     Multipliers,
-    P_REGULARIZATION,
     ProblemParams,
     eval_objective,
     evaluate,
@@ -207,7 +206,7 @@ class MinimizeResult(_RunRecord):
             "iterations": self.iterations,
             "converged": self.converged,
             "residual_rms": self.residual_rms,
-            "symmetry": self.symmetry.to_dict(),
+            "symmetry": asdict(self.symmetry),
             "starts_agreement": self.starts_agreement,
             "grad_norm": self.grad_norm,
         }
@@ -218,7 +217,6 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
     theta, p = params.theta, params.p
     w = grid.w
     antisym = opts.subspace == "antisymmetric"
-    delta = P_REGULARIZATION if p < 2.0 else 0.0
 
     def project(vals):
         # exact feasibility: subspace, zero mean, unit Lp norm
@@ -242,7 +240,7 @@ def _solve_single(params, grid, u0_vals, opts) -> _RunRecord:
         # gradient of half the objective, and of the two constraints
         g_obj = 0.5 * pt.grad
         g_c1 = w * pt.dphi
-        g_c2 = w * signed_power(pt.u, p, delta) * pt.dphi
+        g_c2 = w * signed_power(pt.u, p) * pt.dphi
         gram, combine = grid.h1_solve(np.stack([g_obj.ravel(), g_c1.ravel(), g_c2.ravel()]).T)
         # least-squares duals: remove the constraint components from the
         # gradient in the H1-dual metric; these are the stationarity
@@ -351,8 +349,6 @@ def minimize(params: ProblemParams, grid: PolarGrid, opts: SolveOptions) -> Mini
     same values at angle 0, and the one kept has a nonnegative sin 2a
     moment.  The sign at (r_outer, 0) cannot be fixed there as well.
     """
-    if opts.subspace == "antisymmetric" and grid.domain.kind != "disk":
-        raise ValueError("the anti-symmetric problem is posed on the disk")
     runs = []
     for k in range(opts.n_starts):
         u0 = _build_start(grid, opts, k)
@@ -423,15 +419,12 @@ class CertificationRecord:
     rearrange_max_rel_dev: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def certify(result: MinimizeResult, params: ProblemParams) -> CertificationRecord:
     """Cross-validate a converged run: constraint violations, agreement of
     the identity-based duals with the optimizer's duals, and objective
-    non-improvement under two-point rearrangement over a fan of 8 grid
-    half-planes."""
+    non-improvement under two-point rearrangement over a fan of gcd(8, n_a)
+    grid half-planes."""
     if not result.converged:
         raise ValueError("certification requires a converged result")
     u = result.u
@@ -441,7 +434,7 @@ def certify(result: MinimizeResult, params: ProblemParams) -> CertificationRecor
     cons_c = abs(ident.c - result.dual_c)
     cons_d = abs(ident.d - result.dual_d)
     gaps = []
-    for h in grid_half_planes(u.grid, 8):
+    for h in grid_half_planes(u.grid, math.gcd(8, u.grid.n_a)):
         val = eval_objective(params, two_point_rearrange(u, h))
         gaps.append(val - result.lam)
     min_gap = min(gaps)

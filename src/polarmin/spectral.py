@@ -8,9 +8,8 @@ reference shares no code with the finite-difference solver.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -20,28 +19,10 @@ from .grids import Field, PolarGrid
 
 __all__ = [
     "NeumannMode",
-    "bessel_j",
-    "bessel_j_prime",
     "neumann_root",
     "neumann_mode",
     "eigenfield",
 ]
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind, integer order n >= 0, x in [0, 1e3]."""
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    if not 0.0 <= x <= 1e3:
-        raise ValueError("argument must lie in [0, 1e3]")
-    return float(scipy.special.jv(n, x))
-
-
-def bessel_j_prime(n: int, x: float) -> float:
-    """d/dx J_n(x) via J_0' = -J_1 and J_n' = (J_{n-1} - J_{n+1})/2."""
-    if n == 0:
-        return -bessel_j(1, x)
-    return 0.5 * (bessel_j(n - 1, x) - bessel_j(n + 1, x))
 
 
 def neumann_root(n: int, k: int) -> float:
@@ -65,9 +46,6 @@ class NeumannMode:
     eigenvalue: float
     parity: Literal["cos", "sin"]
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def neumann_mode(n: int, k: int, radius: float = 1.0, parity: str = "cos") -> NeumannMode:
     if parity not in ("cos", "sin"):
@@ -77,7 +55,13 @@ def neumann_mode(n: int, k: int, radius: float = 1.0, parity: str = "cos") -> Ne
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError("radius must be finite and > 0")
     alpha = neumann_root(n, k)
-    return NeumannMode(n=n, k=k, alpha_nk=alpha, eigenvalue=(alpha / radius) ** 2, parity=parity)
+    try:
+        eigenvalue = (alpha / radius) ** 2
+    except OverflowError:
+        eigenvalue = math.inf
+    if math.isinf(eigenvalue):
+        raise ValueError(f"radius {radius} gives a non-finite eigenvalue (alpha_nk / radius)^2")
+    return NeumannMode(n=n, k=k, alpha_nk=alpha, eigenvalue=eigenvalue, parity=parity)
 
 
 def eigenfield(mode: NeumannMode, grid: PolarGrid) -> Field:

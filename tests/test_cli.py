@@ -271,6 +271,7 @@ BAD_CONFIGS = {
         (["eig", "--radius", "0"], "radius must be finite and > 0"),
         (["eig", "--radius", "-2", "--n-max", "0", "--k-max", "1"], "radius must be finite and > 0"),
         (["eig", "--radius", "nan"], "radius must be finite and > 0"),
+        (["eig", "--radius", "1e-200"], "radius 1e-200"),
         (["check-foliated", "--seed", "-1"], "seed must be nonnegative"),
         (["check-foliated", "--starts", "0"], "n_starts must be positive"),
         (["check-foliated", "--grid", "1x2"], "n_a must be divisible by 4"),
@@ -301,6 +302,7 @@ BAD_CONFIGS = {
          "is a directory"),
     ],
     ids=["seed", "starts", "config", "eig", "radius-zero", "radius-negative", "radius-nan",
+         "radius-overflow",
          "check-foliated-seed", "check-foliated-starts",
          "grid-check-foliated", "grid-sweep-p", "grid-sweep-theta", "sweep-p-annulus",
          "sweep-theta-p3", "config-no-r-inner", "config-theta-null", "config-c0-null",
@@ -351,6 +353,15 @@ def test_cli_check_foliated(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["passed"]
+
+
+def test_cli_check_foliated_certifies_on_any_admitted_grid(capsys):
+    # n_a = 36 is a multiple of 4 but not of 8: the fan has gcd(8, 36) = 4
+    # half-planes
+    code = main(["check-foliated", "--grid", "16x36"])
+    out = json.loads(capsys.readouterr().out)
+    assert code in (0, 1)
+    assert "certification" in out
 
 
 def test_warm_start_rows_agree_with_cold(tmp_path):

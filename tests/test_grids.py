@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from polarmin import grids
+from polarmin.functional import ProblemParams, eval_objective
 from polarmin.grids import (
     Field,
     annulus,
     build_polar_grid,
-    dirichlet_energy,
     disk,
     dump_field,
     grad_sq,
@@ -154,7 +154,8 @@ def test_energy_matches_quadrature_of_grad_sq():
     g = build_polar_grid(disk(1.0), 32, 32)
     f = smooth_field(g, 2)
     e1 = integrate(grad_sq(f))
-    e2 = dirichlet_energy(g, f.values)
+    # at theta = 0 with F = 0 the objective is the discrete Dirichlet energy
+    e2 = eval_objective(ProblemParams(theta=0.0, p=2.0), f)
     assert abs(e1 - e2) <= 1e-12 * e1
 
 

@@ -185,11 +185,16 @@ def test_antisymmetric_classical_limit_matches_oracle():
     assert abs(res.lam - LAM2) <= 0.02 * LAM2
 
 
-def test_antisymmetric_requires_disk():
-    g = build_polar_grid(annulus(0.5, 1.0), 16, 32)
-    params = ProblemParams(theta=0.1, p=2.0)
-    with pytest.raises(ValueError, match="disk"):
-        minimize_antisymmetric(params, g, SolveOptions())
+@pytest.mark.parametrize("p", [2.0, 8.0])
+def test_antisymmetric_on_annulus(p):
+    # the projection onto the x2-odd subspace does not depend on the domain
+    g = build_polar_grid(annulus(0.5, 1.0), 24, 96)
+    params = ProblemParams(theta=0.1, p=p)
+    res = minimize_antisymmetric(params, g, SolveOptions())
+    assert res.converged
+    assert np.array_equal(reflect_field(res.u, "x2").values, -res.u.values)
+    assert abs(integrate(res.u)) <= 1e-12
+    assert abs(lp_norm(res.u, p) - 1.0) <= 1e-12
 
 
 def test_antisymmetric_dominates_at_large_p():
