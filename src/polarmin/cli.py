@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -209,8 +210,15 @@ def _refinement(spec: SweepSpec):
     value = spec.values[len(spec.values) // 2]
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
+    parent = os.getpid()
 
     def solve():  # runs in the child, on the inputs the fork copied
+        if sys.platform.startswith("linux"):  # die with a SIGKILLed parent
+            import ctypes
+
+            ctypes.CDLL(None).prctl(1, 9)  # PR_SET_PDEATHSIG = 1, SIGKILL = 9
+        if os.getppid() != parent:  # it died before the request took hold
+            return
         try:
             n_r, n_a = spec.grid_for(value)
             fine_grid = build_polar_grid(spec.domain, 2 * n_r, 2 * n_a)

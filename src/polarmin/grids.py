@@ -16,6 +16,7 @@ from typing import Callable, Literal
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import ztbtrs
 
 __all__ = [
     "RadialDomain",
@@ -111,52 +112,69 @@ class PolarGrid:
         d = self.domain
         return (d.kind, d.r_inner, d.r_outer, self.n_r, self.n_a)
 
-    # Differential operators are assembled once per grid and cached.  The
-    # stiffness matrix is the exact Hessian of the discrete Dirichlet
-    # energy, so -(A f)/w is the divergence-form Laplacian of f, the exact
-    # first variation of that energy.
+    # Every operator is built from two 1-D stencils, the radial derivative D
+    # and the periodic forward angular difference S.  The stiffness matrix is
+    # the exact Hessian of the discrete Dirichlet energy, so -(A f)/w is the
+    # divergence-form Laplacian of f, the exact first variation of it.
 
     @cached_property
-    def _radial_diff(self) -> sp.csr_matrix:
-        """Sparse radial derivative: central in the interior, one-sided at
-        the radial boundaries, pole-transparent (neighbor at angle a+pi) on
-        the innermost disk ring.  A 1-D stencil in r times the identity in
-        angle, plus the pole term on the disk."""
-        n_r, n_a = self.n_r, self.n_a
+    def _stencils(self) -> tuple:
+        """(lo, mid, hi, pole, s).  Row i of D reads rings i-1, i, i+1 with
+        coefficients lo[i], mid[i], hi[i] (lo[0] = hi[-1] = 0): central in
+        the interior, one-sided at the radial boundaries.  On the disk the
+        innermost ring also reads its antipode (angle a + pi) with
+        coefficient pole; pole is 0 on an annulus.  s = 1/(r da) per ring."""
         dr = self.delta_r
-        main = np.zeros(n_r)
-        sub = np.full(n_r - 1, -0.5 / dr)
-        sup = np.full(n_r - 1, 0.5 / dr)
-        main[-1], sub[-1] = 1.0 / dr, -1.0 / dr
+        lo, mid, hi = np.zeros((3, self.n_r))
+        lo[1:], hi[:-1] = -0.5 / dr, 0.5 / dr
+        mid[-1], lo[-1] = 1.0 / dr, -1.0 / dr
         if self.domain.kind == "annulus":
-            main[0], sup[0] = -1.0 / dr, 1.0 / dr
-        mat = sp.kron(sp.diags([sub, main, sup], [-1, 0, 1]), sp.identity(n_a))
-        if self.domain.kind == "disk":
-            ring0 = sp.coo_matrix(([1.0], ([0], [0])), shape=(n_r, n_r))
-            half = n_a // 2
-            antipode = sp.diags([-0.5 / dr, -0.5 / dr], [-half, half], shape=(n_a, n_a))
-            mat = mat + sp.kron(ring0, antipode)
-        mat = mat.tocsr()
-        mat.eliminate_zeros()
-        return mat
+            mid[0], hi[0] = -1.0 / dr, 1.0 / dr
+        pole = -0.5 / dr if self.domain.kind == "disk" else 0.0
+        return lo, mid, hi, pole, 1.0 / (self.r_nodes * self.delta_a)
 
     @cached_property
-    def _angular_fwd_diff(self) -> sp.csr_matrix:
-        """Sparse forward angular edge difference (f_{j+1} - f_j)/(r*da):
-        a per-ring scale times the periodic 1-D difference in angle."""
-        n_a = self.n_a
-        step = sp.diags([-1.0, 1.0, 1.0], [0, 1, 1 - n_a], shape=(n_a, n_a))
-        mat = sp.kron(sp.diags(1.0 / (self.r_nodes * self.delta_a)), step).tocsr()
-        mat.eliminate_zeros()
-        return mat
+    def _products(self) -> tuple:
+        """(k0, k1, k2, pc, a): the three upper bands of D^T W_r D (zero past
+        the last ring; the pole's ring-0 diagonal is in k0), the pole's
+        coupling pc of ring 0 to ring 1's antipode, and the ring weight
+        a = w_r/(r da)^2 of S^T S.  Each entry sums at most three products,
+        formed elementwise, not by BLAS: the same bits at any thread count."""
+        lo, mid, hi, pole, s = self._stencils
+        w = self.w[:, 0]
+        k0, k1, k2 = (mid * w) * mid, np.zeros(self.n_r), np.zeros(self.n_r)
+        k0[1:] += (hi[:-1] * w[:-1]) * hi[:-1]
+        k0[:-1] += (lo[1:] * w[1:]) * lo[1:]
+        k0[0] += (pole * w[0]) * pole
+        k1[:-1] = (mid[:-1] * w[:-1]) * hi[:-1] + (lo[1:] * w[1:]) * mid[1:]
+        k2[:-2] = (lo[1:-1] * w[1:-1]) * hi[1:-1]
+        return k0, k1, k2, (pole * w[0]) * hi[0], (s * w) * s
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        """Symmetric PSD matrix A with f.A.f = integrate(grad_sq(f))."""
-        W = sp.diags(self.w.ravel())
-        dc = self._radial_diff
-        df = self._angular_fwd_diff
-        return (dc.T @ W @ dc + df.T @ W @ df).tocsr()
+        """Symmetric PSD matrix A with f.A.f = integrate(grad_sq(f)):
+        kron(D^T W_r D, I) + kron(W_r/(r da)^2, S^T S) + the disk's pole
+        coupling, assembled as CSR from the 1-D products; zeros not stored."""
+        n_r, n_a = self.n_r, self.n_a
+        k0, k1, k2, pc, a = self._products
+        j = np.arange(n_a, dtype=np.int32)
+        anti, ring0 = np.roll(j, n_a // 2), np.eye(1, n_r)[0] * pc
+        # (ring offset, column angle per row angle, coefficient per ring)
+        offs, angles, coefs = zip(
+            (-2, j, np.roll(k2, 2)), (-1, j, np.roll(k1, 1)), (-1, anti, np.roll(ring0, 1)),
+            (0, np.roll(j, 1), -a), (0, j, k0 + 2.0 * a), (0, np.roll(j, -1), -a),
+            (1, anti, ring0), (1, j, k1), (2, j, k2),
+        )
+        # row (i, j) holds one slot per band; a band past the last ring wraps
+        # around in i, with coefficient 0.  int32: the index type CSR keeps
+        rings = np.arange(n_r, dtype=np.int32)[:, None, None] + np.array(offs, dtype=np.int32)
+        cols = rings % n_r * n_a + np.stack(angles, axis=1)
+        vals = np.broadcast_to(np.stack(coefs, axis=1)[:, None], cols.shape)
+        n, k = n_r * n_a, len(offs)
+        mat = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, k * n + 1, k)), shape=(n, n))
+        mat.eliminate_zeros()
+        mat.sort_indices()
+        return mat
 
     @cached_property
     def h1_solve(self) -> Callable[[np.ndarray], tuple[np.ndarray, Callable]]:
@@ -164,9 +182,10 @@ class PolarGrid:
 
         The operator commutes with rotation by one angular cell, so an
         angular DFT splits it into one SPD pentadiagonal radial system per
-        Fourier mode (on the disk the pole coupling contributes (-1)^m).
-        Stacked mode after mode they form one banded SPD matrix, factored
-        once by LAPACK's banded Cholesky.  The returned callable takes an
+        Fourier mode, known in closed form (`_radial_bands`).  Stacked mode
+        after mode they form one banded SPD matrix, factored once by
+        LAPACK's banded Cholesky H = U^H U; a solve is the two triangular
+        substitutions.  The returned callable takes an
         (n_nodes, k) block b and returns gram[i, j] = b_i . H^-1 b_j, taken
         by Parseval on the spectra, and combine(coef) = H^-1 (b @ coef) for
         a coefficient vector coef of length k, with one inverse transform.
@@ -191,9 +210,9 @@ class PolarGrid:
             # order LAPACK solves in
             spec = np.empty((k, n_m, n_r), dtype=complex)
             np.fft.rfft(b.T.reshape(k, n_r, n_a).transpose(0, 2, 1), axis=1, out=spec)
-            x = scipy.linalg.cho_solve_banded(
-                (factor, False), spec.reshape(k, -1).T, check_finite=False
-            ).T.reshape(k, n_m, n_r)
+            # U^H z = b, then U x = z: the two substitutions of zpbtrs
+            z = ztbtrs(factor, spec.reshape(k, -1).T, trans="C")[0]
+            x = ztbtrs(factor, z, overwrite_b=True)[0].T.reshape(k, n_m, n_r)
 
             def vec(z):  # each column's spectrum as one real vector
                 return z.reshape(k, -1).view(float)
@@ -214,27 +233,18 @@ class PolarGrid:
 
 
 def _radial_bands(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mode radial bands of (W + A), read off its rows at angle index 0.
-
-    Entry (i, i') of the mode-m radial matrix is
-    sum_d c_{ii'}[d] cos(2 pi m d / n_a), where c_{ii'}[d] couples node
-    (i, 0) to node (i', d); the sine part must vanish.  Returns the diagonal
-    and the first and second superdiagonals, each (n_r, n_a // 2 + 1), with
-    entries past the last ring zero.
-    """
-    n_r, n_a = grid.n_r, grid.n_a
-    mat = (sp.diags(grid.w.ravel()) + grid.stiffness).tocsr()
-    rows = mat[np.arange(n_r) * n_a].tocoo()
-    offset = rows.col // n_a - rows.row
-    if np.any(np.abs(offset) > 2):
-        raise ValueError("H1 metric couples rings more than two apart")
-    coef = np.zeros((n_r, 5, n_a))
-    np.add.at(coef, (rows.row, offset + 2, rows.col % n_a), rows.data)
-    symbol = np.fft.rfft(coef, axis=2)
-    if np.max(np.abs(symbol.imag)) > 1e-12 * np.max(np.abs(coef)):
-        raise ValueError("H1 metric symbol is not real: operator not reflection invariant")
-    bands = symbol.real
-    return bands[:, 2], bands[:, 3], bands[:, 4]
+    """Per-mode radial bands of (W + A) in closed form.  Angular mode m
+    turns S^T S into 4 sin^2(pi m / n_a) and the antipode into (-1)^m, so
+    the mode-m radial matrix is diag(w_r) + K_{m mod 2} + 4 sin^2(pi m /
+    n_a) diag(w_r/(r da)^2), K being D^T W_r D with the pole coupling at sign
+    (-1)^m.  Returns the diagonal and the first and second superdiagonals,
+    each (n_r, n_a // 2 + 1), with entries past the last ring zero."""
+    k0, k1, k2, pc, a = grid._products
+    m = np.arange(grid.n_a // 2 + 1)
+    sup1 = np.repeat(k1[:, None], m.size, axis=1)
+    sup1[0] += pc * (-1.0) ** m
+    diag = (grid.w[:, :1] + k0[:, None]) + a[:, None] * (4.0 * np.sin(np.pi * m / grid.n_a) ** 2)
+    return diag, sup1, np.repeat(k2[:, None], m.size, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,15 +305,22 @@ def grad_sq(f: Field) -> Field:
     the innermost disk ring (neighbor at angle a + pi).  Angular part:
     mean of the squared forward and backward edge differences, which is
     second-order at the node and makes the quadrature of this field the
-    exact discrete Dirichlet energy.  Both differences are the sparse
-    stencils the stiffness matrix is assembled from.
+    exact discrete Dirichlet energy.  Both are the 1-D stencils the
+    stiffness matrix is assembled from, applied to the (n_r, n_a) array.
     """
-    grid = f.grid
-    F = f.values.ravel()
-    dradial = (grid._radial_diff @ F).reshape(grid.shape)
-    dfwd = (grid._angular_fwd_diff @ F).reshape(grid.shape)
-    gsq = dradial**2 + 0.5 * (dfwd**2 + np.roll(dfwd, 1, axis=1) ** 2)
-    return Field(grid, gsq)
+    lo, mid, hi, pole, s = f.grid._stencils
+    F = f.values
+    d_r = mid[:, None] * F
+    d_r[1:] += lo[1:, None] * F[:-1]
+    d_r[:-1] += hi[:-1, None] * F[1:]
+    d_r[0] += pole * np.roll(F[0], F.shape[1] // 2)
+    sF = s[:, None] * F
+    fwd = np.roll(sF, -1, axis=1)
+    fwd -= sF
+    fwd *= fwd
+    d_r *= d_r
+    d_r += 0.5 * (fwd + np.roll(fwd, 1, axis=1))
+    return Field(f.grid, d_r)
 
 
 def _half_units(grid: PolarGrid, angle: float) -> int:

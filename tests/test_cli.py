@@ -2,12 +2,17 @@ import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polarmin
 from polarmin.cli import (
     CSV_HEADER,
     SweepSpec,
@@ -448,6 +453,54 @@ def test_refinement_failure_surfaces_in_the_parent(monkeypatch):
     with pytest.raises(RuntimeError, match="exited with code 3"):
         run_sweep_theta(theta_spec_24x48())
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_refinement_child_dies_with_a_killed_sweep(tmp_path):
+    # a sweep killed by SIGKILL runs no cleanup; its refinement child must
+    # not keep running on its own.  The helper's child writes its pid and
+    # stalls, then the helper is killed.
+    pid_file = tmp_path / "child.pid"
+    code = (
+        "import os, time\n"
+        "from polarmin import cli\n"
+        "from polarmin.functional import ProblemParams\n"
+        "from polarmin.grids import disk\n"
+        "helper, build = os.getpid(), cli.build_polar_grid\n"
+        "def stall(*args):\n"
+        "    if os.getpid() != helper:  # the refinement child\n"
+        f"        open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "        time.sleep(60)\n"
+        "    return build(*args)\n"
+        "cli.build_polar_grid = stall\n"
+        "cli.run_sweep_theta(cli.SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0),\n"
+        "                                  'theta', (0.05, 0.1, 0.2), (24, 48)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
+    helper = subprocess.Popen([sys.executable, "-c", code], env=env)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert helper.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        child = int(pid_file.read_text())
+    finally:
+        helper.kill()
+        helper.wait()
+
+    def state():  # None once the child is gone; "Z" once it is a zombie
+        try:
+            return Path(f"/proc/{child}/stat").read_text().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return None
+
+    deadline = time.monotonic() + 2.0
+    while state() not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.02)
+    alive = state() not in (None, "Z")
+    if alive:
+        os.kill(child, signal.SIGKILL)
+    assert not alive, "the refinement child outlived its killed sweep"
 
 
 def test_check_foliated_writes_field_dump(tmp_path):

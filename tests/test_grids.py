@@ -1,14 +1,20 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
+import polarmin
 from polarmin import grids
 from polarmin.functional import ProblemParams, eval_objective
 from polarmin.grids import (
@@ -214,6 +220,108 @@ def test_h1_solve_matches_sparse_direct_solve(r_inner, n_r, n_a, columns, seed):
     x = combine(coef)
     assert x.shape == (g.n_nodes,)
     assert np.linalg.norm(x - ref @ coef) <= 1e-10 * np.linalg.norm(ref @ coef)
+
+
+def kronecker_operators(g):
+    """The reference construction of the grid operators: the 2-D radial and
+    angular derivative matrices as Kronecker products, the stiffness
+    dc^T W dc + df^T W df, and the per-mode radial bands as the angular FFT
+    of the rows of W + A at angle index 0, in the order (diag, sup1, sup2)."""
+    n_r, n_a, dr = g.n_r, g.n_a, g.delta_r
+    main = np.zeros(n_r)
+    sub = np.full(n_r - 1, -0.5 / dr)
+    sup = np.full(n_r - 1, 0.5 / dr)
+    main[-1], sub[-1] = 1.0 / dr, -1.0 / dr
+    if g.domain.kind == "annulus":
+        main[0], sup[0] = -1.0 / dr, 1.0 / dr
+    dc = sp.kron(sp.diags([sub, main, sup], [-1, 0, 1]), sp.identity(n_a))
+    if g.domain.kind == "disk":  # the innermost ring reads across the pole
+        ring0 = sp.coo_matrix(([1.0], ([0], [0])), shape=(n_r, n_r))
+        half = n_a // 2
+        antipode = sp.diags([-0.5 / dr, -0.5 / dr], [-half, half], shape=(n_a, n_a))
+        dc = dc + sp.kron(ring0, antipode)
+    step = sp.diags([-1.0, 1.0, 1.0], [0, 1, 1 - n_a], shape=(n_a, n_a))
+    df = sp.kron(sp.diags(1.0 / (g.r_nodes * g.delta_a)), step).tocsr()
+    W = sp.diags(g.w.ravel())
+    dc = dc.tocsr()
+    A = (dc.T @ W @ dc + df.T @ W @ df).tocsr()
+    rows = (W + A).tocsr()[np.arange(n_r) * n_a].tocoo()
+    offset = rows.col // n_a - rows.row
+    assert np.all(np.abs(offset) <= 2), "H1 metric couples rings more than two apart"
+    coef = np.zeros((n_r, 5, n_a))
+    np.add.at(coef, (rows.row, offset + 2, rows.col % n_a), rows.data)
+    symbol = np.fft.rfft(coef, axis=2)
+    assert np.max(np.abs(symbol.imag)) <= 1e-12 * np.max(np.abs(coef)), "symbol not real"
+    return dc, df, A, [symbol.real[:, k] for k in (2, 3, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r_inner=st.sampled_from([0.0, 0.1, 0.5, 2.0]),
+    n_r=st.integers(2, 12),
+    n_a=st.sampled_from(range(4, 33, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operators_match_the_kronecker_construction(r_inner, n_r, n_a, seed):
+    dom = disk(1.0) if r_inner == 0.0 else annulus(r_inner, r_inner + 1.0)
+    g = build_polar_grid(dom, n_r, n_a)
+    dc, df, ref, ref_bands = kronecker_operators(g)
+    ref.sum_duplicates()  # sorted, as the CSR assembly stores it
+    A = g.stiffness
+    assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+    assert np.all(np.abs(A.data - ref.data) <= 1e-14 * np.abs(ref.data))
+    for band, ref_band in zip(grids._radial_bands(g), ref_bands):
+        assert band.shape == ref_band.shape == (n_r, n_a // 2 + 1)
+        assert np.max(np.abs(band - ref_band)) <= 1e-14 * np.max(np.abs(ref_band))
+    F = np.random.default_rng(seed).standard_normal(g.n_nodes)
+    dradial, dfwd = (dc @ F).reshape(g.shape), (df @ F).reshape(g.shape)
+    gsq = dradial**2 + 0.5 * (dfwd**2 + np.roll(dfwd, 1, axis=1) ** 2)
+    got = grad_sq(Field(g, F.reshape(g.shape))).values
+    assert np.max(np.abs(got - gsq)) <= 1e-14 * np.max(gsq)
+
+
+def test_operators_are_the_same_at_any_blas_thread_count():
+    # the 1-D products are formed elementwise, so no sum is split across
+    # BLAS threads
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from polarmin.grids import Field, _radial_bands, annulus, build_polar_grid, disk, grad_sq\n"
+        "for dom in (disk(1.0), annulus(0.5, 1.0)):\n"
+        "    g = build_polar_grid(dom, 96, 192)\n"
+        "    f = Field(g, np.random.default_rng(3).normal(size=g.shape))\n"
+        "    for arr in (g.stiffness.data, *_radial_bands(g), grad_sq(f).values):\n"
+        "        print(hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest())\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        outs.append(out.stdout.split())
+    assert len(outs[0]) == 10
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("domain", [disk(1.0), annulus(0.5, 1.0)], ids=["disk", "annulus"])
+def test_h1_substitutions_match_cho_solve_banded(domain, monkeypatch):
+    # the two triangular substitutions are what LAPACK's zpbtrs performs
+    calls, ztbtrs = [], grids.ztbtrs
+
+    def record(ab, b, **kw):
+        b_in = b.copy()
+        out = ztbtrs(ab, b, **kw)
+        calls.append((ab, b_in, out[0].copy()))
+        return out
+
+    monkeypatch.setattr(grids, "ztbtrs", record)
+    g = build_polar_grid(domain, 12, 24)
+    g.h1_solve(np.random.default_rng(1).standard_normal((g.n_nodes, 3)))
+    (factor, spec, _), (_, _, x) = calls
+    ref = scipy.linalg.cho_solve_banded((factor, False), spec, check_finite=False)
+    assert np.array_equal(x, ref)
 
 
 def test_grid_is_freed_with_its_last_reference():
