@@ -8,10 +8,11 @@ with certification.  Sweeps emit one CSV (fixed column set) plus a JSON
 manifest carrying the full sweep specification and all derived values
 except wall times, so reruns with the same seed are byte-identical.
 
-Rows are executed sequentially because each one warm-starts from its
-predecessor.  The refinement solve behind a sweep's grid_tol depends on no
-row, so it runs in a forked child beside the rows; sweeps therefore need a
-platform with the "fork" start method.
+A row warm-starts from its predecessor on the same grid, so each grid's rows
+run in sequence.  A sweep forks one child for the refinement solve behind its
+grid_tol and one for each grid's rows but the last grid's, which it runs
+itself: two children for the default sweep-p, one for a one-grid sweep such
+as sweep-theta.  Sweeps therefore need the "fork" start method.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 from .functional import (
@@ -192,27 +194,23 @@ def _row_from(value: float, res: MinimizeResult, lam_as, runtime: float) -> Swee
     )
 
 
-def _row_opts(spec: SweepSpec, warm, grid) -> SolveOptions:
-    """A row solve's options: from warm when it lives on grid, else the eigenmode."""
-    init = warm if warm is not None and warm.grid.key() == grid.key() else "eigenmode"
-    return SolveOptions(spec.n_starts, spec.seed, init)
+def _row_opts(spec: SweepSpec, warm) -> SolveOptions:
+    """A row's options: from warm, its grid segment's last minimizer, if any."""
+    return SolveOptions(spec.n_starts, spec.seed, "eigenmode" if warm is None else warm)
 
 
 @contextmanager
-def _refinement(spec: SweepSpec):
-    """Solve the middle swept value cold (one eigenmode start) on the doubled
-    grid in a forked child while the caller runs the rows.  Yields that value
-    and a function that waits for the child's lambda and returns it, or raises
-    the child's exception.  The child is joined, or terminated and joined,
-    before the block is left."""
+def _in_child(fn):
+    """Run fn() in a forked child beside the caller.  Yields a function that
+    waits for fn's return value and returns it, or raises fn's exception.
+    The child is joined, or terminated and joined, before the block is left."""
     import multiprocessing
 
-    value = spec.values[len(spec.values) // 2]
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     parent = os.getpid()
 
-    def solve():  # runs in the child, on the inputs the fork copied
+    def run():  # runs in the child, on the inputs the fork copied
         if sys.platform.startswith("linux"):  # die with a SIGKILLed parent
             import ctypes
 
@@ -220,30 +218,28 @@ def _refinement(spec: SweepSpec):
         if os.getppid() != parent:  # it died before the request took hold
             return
         try:
-            n_r, n_a = spec.grid_for(value)
-            fine_grid = build_polar_grid(spec.domain, 2 * n_r, 2 * n_a)
-            out = minimize(spec.params_at(value), fine_grid, SolveOptions(seed=spec.seed)).lam
+            out = fn()
         except Exception as exc:
             out = exc
         send.send(out)
 
-    child = ctx.Process(target=solve)
+    child = ctx.Process(target=run)
     child.start()
     send.close()
 
-    def wait() -> float:
+    def wait():
         try:
             out = recv.recv()
         except EOFError:  # the child died before it could send
             child.join()
-            raise RuntimeError(f"refinement solve exited with code {child.exitcode}") from None
+            raise RuntimeError(f"forked solve exited with code {child.exitcode}") from None
         child.join()
         if isinstance(out, Exception):
             raise out
         return out
 
     try:
-        yield value, wait
+        yield wait
     finally:
         recv.close()
         child.terminate()  # a no-op once wait() has joined it
@@ -255,6 +251,37 @@ def _estimate_grid_tol(fine_lam, mid: SweepRow) -> float:
     fine_lam() returns; the significance threshold for the strict
     inequalities the sweep reports."""
     return max(abs(fine_lam() - mid.lam), 1e-9)
+
+
+def _run_rows(spec: SweepSpec, values: list, run_segment) -> tuple[list, dict, float]:
+    """Run the rows of values in this order and the refinement of the middle
+    value.  Each grid segment (a maximal run of values on one grid, which no
+    warm start crosses) is run_segment(spec, segment) -> (rows, extras); all
+    but the last, and the refinement, run in forked children.  Errors surface
+    as a sequential loop raises them.  Returns rows, extras and grid_tol."""
+    mid = spec.values[len(spec.values) // 2]
+    segments = [list(seg) for _, seg in groupby(values, key=spec.grid_for)]
+
+    def refine():  # mid solved cold (one eigenmode start) on the doubled grid
+        n_r, n_a = spec.grid_for(mid)
+        fine_grid = build_polar_grid(spec.domain, 2 * n_r, 2 * n_a)
+        return minimize(spec.params_at(mid), fine_grid, SolveOptions(seed=spec.seed)).lam
+
+    with ExitStack() as stack:
+        fine_lam = stack.enter_context(_in_child(refine))
+        waits = [stack.enter_context(_in_child(lambda seg=seg: run_segment(spec, seg)))
+                 for seg in segments[:-1]]
+        try:
+            last = run_segment(spec, segments[-1])
+        except Exception:
+            for wait in waits:
+                wait()
+            raise
+        outs = [wait() for wait in waits] + [last]
+        rows = [row for seg_rows, _ in outs for row in seg_rows]
+        extras = {k: v for _, seg_extras in outs for k, v in seg_extras.items()}
+        grid_tol = _estimate_grid_tol(fine_lam, next(r for r in rows if r.value == mid))
+    return rows, extras, grid_tol
 
 
 def _write_outputs(spec: SweepSpec, name: str, rows: list, manifest_extra: dict) -> None:
@@ -271,23 +298,26 @@ def _write_outputs(spec: SweepSpec, name: str, rows: list, manifest_extra: dict)
     )
 
 
+def _theta_segment(spec: SweepSpec, values: list) -> tuple[list, dict]:
+    rows = []
+    warm = None
+    for value in values:
+        params = spec.params_at(value)
+        grid = build_polar_grid(spec.domain, *spec.grid_for(value))
+        t0 = time.perf_counter()
+        res = minimize(params, grid, _row_opts(spec, warm))
+        _validate_result(params, res)
+        rows.append(_row_from(value, res, None, time.perf_counter() - t0))
+        warm = res.u
+    return rows, {}
+
+
 def run_sweep_theta(spec: SweepSpec) -> tuple[list, dict]:
     """Sweep theta downward at p = 2, F = 0 on the disk, warm-starting each
     row from the previous minimizer.  Returns (rows, manifest_extras)."""
     if spec.axis != "theta":
         raise ValueError("theta sweep requires axis 'theta'")
-    rows = []
-    warm = None
-    with _refinement(spec) as (mid, fine_lam):
-        for value in sorted(spec.values, reverse=True):
-            params = spec.params_at(value)
-            grid = build_polar_grid(spec.domain, *spec.grid_for(value))
-            t0 = time.perf_counter()
-            res = minimize(params, grid, _row_opts(spec, warm, grid))
-            _validate_result(params, res)
-            rows.append(_row_from(value, res, None, time.perf_counter() - t0))
-            warm = res.u
-        grid_tol = _estimate_grid_tol(fine_lam, next(r for r in rows if r.value == mid))
+    rows, _, grid_tol = _run_rows(spec, sorted(spec.values, reverse=True), _theta_segment)
     lam2 = neumann_mode(1, 1, radius=spec.domain.r_outer).eigenvalue
     # rows run with theta decreasing; lambda should not decrease along them
     lam_seq = [r.lam for r in rows]
@@ -320,6 +350,28 @@ def run_sweep_theta(spec: SweepSpec) -> tuple[list, dict]:
     return rows, extras
 
 
+def _p_segment(spec: SweepSpec, values: list) -> tuple[list, dict]:
+    rows = []
+    competitor_objectives = {}
+    warm_full = warm_as = None
+    for value in values:
+        params = spec.params_at(value)
+        grid = build_polar_grid(spec.domain, *spec.grid_for(value))
+        t0 = time.perf_counter()
+        res_as = minimize_antisymmetric(params, grid, _row_opts(spec, warm_as))
+        warm_as = res_as.u
+        competitor = build_half_support_competitor(res_as.u, params)
+        competitor_objectives[value] = eval_objective(params, competitor)
+        res_full = minimize(params, grid, _row_opts(spec, warm_full))
+        res_comp = minimize(params, grid, SolveOptions(seed=spec.seed, init=competitor))
+        if res_comp.converged and (not res_full.converged or res_comp.lam < res_full.lam):
+            res_full = res_comp
+        warm_full = res_full.u
+        _validate_result(params, res_full)
+        rows.append(_row_from(value, res_full, res_as.lam, time.perf_counter() - t0))
+    return rows, competitor_objectives
+
+
 def run_sweep_p(spec: SweepSpec) -> tuple[list, dict]:
     """Sweep p upward at fixed theta on the disk.  Each row solves the full
     problem (with the half-support competitor as an extra start) and the
@@ -327,31 +379,8 @@ def run_sweep_p(spec: SweepSpec) -> tuple[list, dict]:
     onset: the smallest p whose gap exceeds 3 * grid_tol."""
     if spec.axis != "p":
         raise ValueError("p sweep requires axis 'p'")
-    rows = []
-    competitor_objectives = {}
-    warm_full = warm_as = None
-    with _refinement(spec) as (mid, fine_lam):
-        for value in sorted(spec.values):
-            params = spec.params_at(value)
-            grid = build_polar_grid(spec.domain, *spec.grid_for(value))
-            t0 = time.perf_counter()
-            res_as = minimize_antisymmetric(params, grid, _row_opts(spec, warm_as, grid))
-            warm_as = res_as.u
-            competitor = build_half_support_competitor(res_as.u, params)
-            competitor_objectives[value] = eval_objective(params, competitor)
-            res_full = minimize(params, grid, _row_opts(spec, warm_full, grid))
-            res_comp = minimize(params, grid, SolveOptions(seed=spec.seed, init=competitor))
-            if res_comp.converged and (not res_full.converged or res_comp.lam < res_full.lam):
-                res_full = res_comp
-            warm_full = res_full.u
-            _validate_result(params, res_full)
-            rows.append(_row_from(value, res_full, res_as.lam, time.perf_counter() - t0))
-        grid_tol = _estimate_grid_tol(fine_lam, next(r for r in rows if r.value == mid))
-    onset = None
-    for r in rows:
-        if r.lam_as - r.lam > 3.0 * grid_tol:
-            onset = r.value
-            break
+    rows, competitor_objectives, grid_tol = _run_rows(spec, sorted(spec.values), _p_segment)
+    onset = next((r.value for r in rows if r.lam_as - r.lam > 3.0 * grid_tol), None)
     lam_as_seq = [r.lam_as for r in rows]
     extras = {
         "grid_tol": grid_tol,

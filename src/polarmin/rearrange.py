@@ -151,8 +151,8 @@ def mollification_matrix(grid: PolarGrid, eps: float):
     the matrix commutes exactly with the grid's rotations and axis
     reflections; the CSR arrays are its tiling over the ring's rows.
     """
-    if not eps > 0:
-        raise ValueError("mollification radius must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("mollification radius must be positive and finite")
     key = (grid.key(), float(eps))
     cached = _MOLLIFIER_CACHE.get(key)
     if cached is not None:

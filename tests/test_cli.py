@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -297,6 +298,8 @@ BAD_CONFIGS = {
         (["rearrange", "--op", "foliated", "--in", "{missing}"], "No such file or directory"),
         (["rearrange", "--op", "mollify", "--eps", "-1", "--in", "{field}"],
          "mollification radius must be positive"),
+        (["rearrange", "--op", "mollify", "--eps", "inf", "--in", "{field}"],
+         "mollification radius must be positive and finite"),
         (["rearrange", "--op", "two-point", "--angle", "0.001", "--in", "{field}"],
          "not a multiple of half the angular spacing"),
         (["check-foliated", "--grid", "16x32", "--out", "{field}"], "File exists"),
@@ -314,6 +317,7 @@ BAD_CONFIGS = {
          "no-threshold-flag", "config-zero-f-c0", "sweep-p-missing-config",
          "check-foliated-missing-config", "eig-negative-n-max", "eig-zero-k-max",
          "rearrange-malformed-field", "rearrange-missing-field", "rearrange-negative-eps",
+         "rearrange-infinite-eps",
          "rearrange-off-grid-angle", "check-foliated-out-is-file", "sweep-p-out-is-file",
          "rearrange-out-dir-missing", "rearrange-out-is-dir"],
 )
@@ -501,6 +505,100 @@ def test_refinement_child_dies_with_a_killed_sweep(tmp_path):
     if alive:
         os.kill(child, signal.SIGKILL)
     assert not alive, "the refinement child outlived its killed sweep"
+
+
+def two_grid_p_spec(monkeypatch, out_dir=None):
+    # p <= 8 on one grid and p > 8 on another: two grid segments, the first
+    # of which runs in a forked child
+    monkeypatch.setattr(SweepSpec, "grid_for", lambda self, v: (16, 32) if v <= 8.0 else (24, 48))
+    return SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0), "p", (2.0, 4.0, 16.0), None,
+                     out_dir=None if out_dir is None else str(out_dir))
+
+
+def test_grid_segments_give_the_in_process_outputs(tmp_path, monkeypatch):
+    from polarmin import cli
+
+    rows, extras = run_sweep_p(two_grid_p_spec(monkeypatch, tmp_path / "forked"))
+    assert multiprocessing.active_children() == []
+
+    @contextmanager
+    def inline(fn):
+        out = fn()
+        yield lambda: out
+
+    monkeypatch.setattr(cli, "_in_child", inline)
+    rows_in, extras_in = run_sweep_p(two_grid_p_spec(monkeypatch, tmp_path / "inline"))
+    assert [r.value for r in rows] == [2.0, 4.0, 16.0]
+    assert [r.to_manifest() for r in rows] == [r.to_manifest() for r in rows_in]
+    assert extras == extras_in
+    name = "sweep_p_manifest.json"
+    assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
+
+@pytest.mark.parametrize("rejected, raised", [((2.0, 16.0), 2.0), ((16.0,), 16.0), ((4.0,), 4.0)])
+def test_earliest_failing_row_wins_across_grid_segments(monkeypatch, rejected, raised):
+    # p = 2 and 4 run in the child's segment, p = 16 in the parent's
+    from polarmin import cli
+
+    validate = cli._validate_result
+
+    def reject(params, res):
+        if params.p in rejected:
+            raise RuntimeError(f"row validation failed: p={params.p} rejected by the test")
+        validate(params, res)
+
+    monkeypatch.setattr(cli, "_validate_result", reject)
+    with pytest.raises(RuntimeError, match=f"p={raised} rejected"):
+        run_sweep_p(two_grid_p_spec(monkeypatch))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_segment_child_dies_with_a_killed_sweep(tmp_path):
+    # the child running the first grid segment stalls on its grid, then the
+    # sweep is SIGKILLed while it waits for that child
+    pid_file = tmp_path / "child.pid"
+    code = (
+        "import os, time\n"
+        "from polarmin import cli\n"
+        "from polarmin.functional import ProblemParams\n"
+        "from polarmin.grids import disk\n"
+        "helper, build = os.getpid(), cli.build_polar_grid\n"
+        "def stall(domain, n_r, n_a):\n"
+        "    if os.getpid() != helper and (n_r, n_a) == (16, 32):  # the segment child\n"
+        f"        open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "        time.sleep(60)\n"
+        "    return build(domain, n_r, n_a)\n"
+        "cli.build_polar_grid = stall\n"
+        "cli.SweepSpec.grid_for = lambda self, v: (16, 32) if v <= 8.0 else (24, 48)\n"
+        "cli.run_sweep_p(cli.SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0),\n"
+        "                              'p', (2.0, 4.0, 16.0), None))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
+    helper = subprocess.Popen([sys.executable, "-c", code], env=env)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert helper.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        child = int(pid_file.read_text())
+    finally:
+        helper.kill()
+        helper.wait()
+    stat = Path(f"/proc/{child}/stat")
+
+    def alive():  # neither gone nor a zombie
+        try:
+            return stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 2.0
+    while alive() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if alive():
+        os.kill(child, signal.SIGKILL)
+        pytest.fail("the segment child outlived its killed sweep")
 
 
 def test_check_foliated_writes_field_dump(tmp_path):

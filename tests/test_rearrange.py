@@ -178,8 +178,9 @@ def test_mollify_preserves_constants_and_small_eps_identity():
     assert np.max(np.abs(mollify(c, 0.4).values - 2.5)) <= 1e-12
     f = smooth_field(g, 5)
     assert np.array_equal(mollify(f, 1e-9).values, f.values)
-    with pytest.raises(ValueError):
-        mollify(f, 0.0)
+    for eps in (0.0, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mollify(f, eps)
 
 
 def test_mollify_preserves_two_point_order():
