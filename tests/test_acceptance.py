@@ -471,13 +471,13 @@ def test_criterion_8_gradient_check():
 
 def test_criterion_8_multiplier_consistency(theta01_run):
     params, grid, res = theta01_run
-    gap_d = abs(res.mult.d - res.dual_d)
-    ok = res.converged and gap_d <= 1e-3 * abs(res.mult.d)
     record = certify(res, params)
+    gap_d = record.consistency_d
+    ok = res.converged and gap_d <= 1e-3 * abs(res.mult.d)
     report(
         "8 multiplier-consistency",
         ok,
-        f"identity d={res.mult.d:.6f} dual d={res.dual_d:.6f} gap={gap_d:.2e} "
+        f"identity d={res.mult.d:.6f} least-squares d gap={gap_d:.2e} "
         f"(<= {1e-3 * abs(res.mult.d):.2e}); certify passed={record.passed}",
     )
     assert res.converged

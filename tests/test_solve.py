@@ -222,6 +222,10 @@ def test_gauge_picks_one_of_the_mirror_minimizers():
     assert res.mult.c > 0.1
     assert np.max(np.abs(again.u.values - res.u.values)) <= 1e-6
     assert abs(again.mult.c - res.mult.c) <= 1e-6
+    # the least-squares c is taken at the reported field, so it has the
+    # identity c's sign whichever of the pair the descent reached
+    for r in (res, again):
+        assert certify(r, params).consistency_c <= 1e-3 * abs(r.mult.c)
 
 
 @pytest.mark.parametrize("antisym", [False, True], ids=["full", "antisymmetric"])
@@ -314,6 +318,11 @@ def test_provided_field_round_trip_json():
     doc = res.to_json_dict()
     assert doc["converged"] is True
     assert set(doc["symmetry"]) == {"axis_angle", "foliated_defect", "antisym_defect", "even_defect"}
+    # one pair of duals, from the integral identities
+    assert set(doc) == {
+        "lambda", "c", "d", "iterations", "converged", "residual_rms",
+        "symmetry", "starts_agreement", "grad_norm",
+    }
 
 
 def test_substituted_variable_is_consistent():
