@@ -301,9 +301,9 @@ def _write_outputs(spec: SweepSpec, name: str, rows: list, manifest_extra: dict)
 def _theta_segment(spec: SweepSpec, values: list) -> tuple[list, dict]:
     rows = []
     warm = None
+    grid = build_polar_grid(spec.domain, *spec.grid_for(values[0]))
     for value in values:
         params = spec.params_at(value)
-        grid = build_polar_grid(spec.domain, *spec.grid_for(value))
         t0 = time.perf_counter()
         res = minimize(params, grid, _row_opts(spec, warm))
         _validate_result(params, res)
@@ -354,9 +354,9 @@ def _p_segment(spec: SweepSpec, values: list) -> tuple[list, dict]:
     rows = []
     competitor_objectives = {}
     warm_full = warm_as = None
+    grid = build_polar_grid(spec.domain, *spec.grid_for(values[0]))
     for value in values:
         params = spec.params_at(value)
-        grid = build_polar_grid(spec.domain, *spec.grid_for(value))
         t0 = time.perf_counter()
         res_as = minimize_antisymmetric(params, grid, _row_opts(spec, warm_as))
         warm_as = res_as.u
@@ -404,19 +404,21 @@ def run_check_foliated(
     params: ProblemParams,
     domain: RadialDomain,
     grid_dims: tuple,
-    opts: SolveOptions,
+    n_starts: int = 1,
+    seed: int = 0,
     out_dir: str | None = None,
 ) -> dict:
-    """Minimize, certify, and report the symmetry of the minimizer.  The
-    returned dict carries 'passed' = converged, foliated defect at most
-    FOLIATED_DEFECT_THRESHOLD, and certification checks green.  With
-    out_dir set, writes the report JSON and the gauge-fixed minimizer in
-    the field dump format."""
+    """Minimize from n_starts starts seeded by seed, certify, and report the
+    minimizer's symmetry.  The returned dict records n_starts and seed
+    under 'opts' and carries 'passed' = converged, foliated defect at most
+    FOLIATED_DEFECT_THRESHOLD, and certification green.  With out_dir set,
+    writes it as JSON, and the gauge-fixed minimizer in the dump format."""
     grid = build_polar_grid(domain, *grid_dims)
-    res = minimize(params, grid, opts)
+    res = minimize(params, grid, SolveOptions(n_starts, seed))
     out = {
         "config": config_to_dict(params, domain),
         "grid": list(grid_dims),
+        "opts": {"n_starts": n_starts, "seed": seed},
         "result": res.to_json_dict(),
     }
     if not res.converged:
@@ -531,12 +533,12 @@ def main(argv=None) -> int:
     if args.cmd == "check-foliated":
         try:
             params, domain = _load_config(args.config)
-            opts = SolveOptions(n_starts=args.starts, seed=args.seed)
+            SolveOptions(args.starts, args.seed)  # admissibility of the solver settings
             _make_out_dir(args.out)
         except (OSError, ValueError) as exc:
             ap.error(str(exc))
         dims = args.grid if args.grid else (96, 192)
-        out = run_check_foliated(params, domain, dims, opts, out_dir=args.out)
+        out = run_check_foliated(params, domain, dims, args.starts, args.seed, out_dir=args.out)
         print(json.dumps(out, sort_keys=True, indent=2))
         return 0 if out["passed"] else 1
 

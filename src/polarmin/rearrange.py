@@ -23,7 +23,6 @@ from .grids import (
     _half_units,
     reflect_field,
     reflection_index_map,
-    rotate_field,
 )
 
 __all__ = [
@@ -137,6 +136,7 @@ def foliated_symmetrize(f: Field) -> Field:
 
 
 _MOLLIFIER_CACHE: dict[tuple, object] = {}
+MOLLIFIER_MAX_NNZ = 2**27  # most nonzeros of a mollification matrix (~1.6 GB of CSR arrays)
 
 
 def mollification_matrix(grid: PolarGrid, eps: float):
@@ -166,10 +166,13 @@ def mollification_matrix(grid: PolarGrid, eps: float):
     half = np.arange(n_a // 2 + 1)
     sin2 = (4.0 * np.sin(half * (math.pi / n_a)) ** 2)[np.concatenate([half, half[-2:0:-1]])]
     rows = np.arange(n_a)[:, None]
-    stencils = []
+    stencils, nnz = [], 0
     for i in range(n_r):
         d2 = ((r[i] - r) ** 2)[:, None] + (r[i] * r)[:, None] * sin2[None, :]
         ring, s = np.nonzero(d2 <= eps2)
+        nnz += ring.size * n_a
+        if nnz > MOLLIFIER_MAX_NNZ:
+            raise ValueError(f"mollification radius {eps} needs over {MOLLIFIER_MAX_NNZ} nonzeros")
         # the node itself (d = 0) is always in, so the sum is positive and
         # an isolated node keeps weight exactly 1
         vals = (1.0 - d2[ring, s] / eps2) ** 2 * ring_w[ring]
@@ -231,10 +234,11 @@ def _align(f: Field, norm: float, exhaustive: bool = False) -> tuple[float, np.n
     """Rotate f's symmetry axis onto +x1 by a grid rotation.
 
     The axis is ``_moment_axis``, and of its two grid neighbors the
-    rotation is the one that leaves the smaller foliated defect;
-    ``exhaustive`` scans every grid rotation instead and takes the axis
-    from the best.  Ties go to the first candidate.  Returns the axis, the
-    rotated values and their foliated defect over ``norm``.
+    rotation is the one that leaves the smaller foliated defect, the
+    distance to the nearer of the two tie-breaks of the +-pairs (mirror
+    images across the x1-axis); ``exhaustive`` scans every grid rotation
+    instead and takes the axis from the best.  Ties go to the first
+    candidate.  Returns the axis, the rotated values and their defect over ``norm``.
     """
     grid = f.grid
     n_a, da = grid.n_a, grid.delta_a
@@ -245,12 +249,13 @@ def _align(f: Field, norm: float, exhaustive: bool = False) -> tuple[float, np.n
         s_lo = math.floor(axis / da)
         steps = (s_lo % n_a, (s_lo + 1) % n_a)
     # every rotation of a circle has the same value multiset, so all
-    # candidates share one foliated symmetrization
+    # candidates share the two foliated symmetrizations
     target = foliated_symmetrize(f).values
+    mirror = target[:, reflection_index_map(grid, math.pi / 2)]
     best = None
     for s in steps:
-        g = rotate_field(f, s).values
-        fol = weighted_l2(grid, g - target) / norm
+        g = np.roll(f.values, -s, axis=1)
+        fol = min(weighted_l2(grid, g - target), weighted_l2(grid, g - mirror)) / norm
         if best is None or fol < best[2]:
             best = (s, g, fol)
     s, g, fol = best

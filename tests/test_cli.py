@@ -232,10 +232,29 @@ def test_sweep_p_grid_defaults():
 
 def test_check_foliated_runs(tmp_path):
     params = ProblemParams(theta=0.2, p=3.0)
-    out = run_check_foliated(params, disk(1.0), (32, 64), SolveOptions(n_starts=1, seed=0))
+    out = run_check_foliated(params, disk(1.0), (32, 64), n_starts=1, seed=0)
     assert out["passed"]
     assert out["result"]["converged"]
     assert out["certification"]["rearrange_min_gap"] >= -1e-2 * out["result"]["lambda"]
+
+
+def test_check_foliated_reports_a_stalled_solve(monkeypatch):
+    from polarmin import solve
+
+    monkeypatch.setattr(solve, "GRAD_TOL", 0.0)  # every start stalls unconverged
+    out = run_check_foliated(ProblemParams(theta=0.2, p=3.0), disk(1.0), (16, 32), n_starts=2)
+    assert out["passed"] is False
+    assert out["reason"] == "solver did not converge"
+    assert "certification" not in out
+
+
+def test_sweep_with_an_unconverged_row_exits_1(monkeypatch, capsys):
+    from polarmin import solve
+
+    monkeypatch.setattr(solve, "GRAD_TOL", 0.0)
+    assert main(["sweep-theta", "--values", "0.1", "--grid", "16x32"]) == 1
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[CSV_HEADER.split(",").index("converged")] == "false"
 
 
 def test_check_foliated_rejects_inadmissible_config():
@@ -339,6 +358,21 @@ def test_cli_rejected_input_is_usage_error(tmp_path, capsys, argv, message):
     assert message in err
 
 
+def test_cli_mollifier_over_the_size_cap_is_usage_error(tmp_path, monkeypatch, capsys):
+    from polarmin import rearrange
+
+    monkeypatch.setattr(rearrange, "MOLLIFIER_MAX_NNZ", 1000)
+    monkeypatch.setattr(rearrange, "_MOLLIFIER_CACHE", {})
+    src = tmp_path / "field.txt"
+    src.write_text(dump_field(smooth_field(build_polar_grid(disk(1.0), 8, 16), 3)))
+    with pytest.raises(SystemExit) as exc:
+        main(["rearrange", "--op", "mollify", "--eps", "3", "--in", str(src)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: polarmin" in err
+    assert "needs over 1000 nonzeros" in err
+
+
 def test_cli_rearrange_round_trip(tmp_path, capsys):
     g = build_polar_grid(disk(1.0), 4, 8)
     f = smooth_field(g, 3)
@@ -362,6 +396,18 @@ def test_cli_check_foliated(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["passed"]
+
+
+def test_check_foliated_report_records_its_starts_and_seed(tmp_path, capsys):
+    # the report names the run that reproduces it, byte for byte
+    for name in ("a", "b"):
+        argv = ["check-foliated", "--grid", "16x32", "--starts", "2", "--seed", "3"]
+        main(argv + ["--out", str(tmp_path / name)])
+    capsys.readouterr()
+    report = json.loads((tmp_path / "a" / "check_foliated.json").read_text())
+    assert report["opts"] == {"n_starts": 2, "seed": 3}
+    for name in ("check_foliated.json", "minimizer.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_cli_check_foliated_certifies_on_any_admitted_grid(capsys):
@@ -515,16 +561,18 @@ def two_grid_p_spec(monkeypatch, out_dir=None):
                      out_dir=None if out_dir is None else str(out_dir))
 
 
+@contextmanager
+def inline(fn):
+    """cli._in_child's stand-in that runs fn in the calling process."""
+    out = fn()
+    yield lambda: out
+
+
 def test_grid_segments_give_the_in_process_outputs(tmp_path, monkeypatch):
     from polarmin import cli
 
     rows, extras = run_sweep_p(two_grid_p_spec(monkeypatch, tmp_path / "forked"))
     assert multiprocessing.active_children() == []
-
-    @contextmanager
-    def inline(fn):
-        out = fn()
-        yield lambda: out
 
     monkeypatch.setattr(cli, "_in_child", inline)
     rows_in, extras_in = run_sweep_p(two_grid_p_spec(monkeypatch, tmp_path / "inline"))
@@ -533,6 +581,24 @@ def test_grid_segments_give_the_in_process_outputs(tmp_path, monkeypatch):
     assert extras == extras_in
     name = "sweep_p_manifest.json"
     assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
+
+def test_each_grid_segment_builds_its_grid_once(monkeypatch):
+    # a segment's rows share one grid: the two segments and the refinement
+    # build three grids between them
+    from polarmin import cli
+
+    built = []
+    build = cli.build_polar_grid
+
+    def counting(domain, n_r, n_a):
+        built.append((n_r, n_a))
+        return build(domain, n_r, n_a)
+
+    monkeypatch.setattr(cli, "_in_child", inline)
+    monkeypatch.setattr(cli, "build_polar_grid", counting)
+    run_sweep_p(two_grid_p_spec(monkeypatch))
+    assert sorted(built) == [(16, 32), (24, 48), (32, 64)]
 
 
 @pytest.mark.parametrize("rejected, raised", [((2.0, 16.0), 2.0), ((16.0,), 16.0), ((4.0,), 4.0)])
@@ -603,9 +669,7 @@ def test_segment_child_dies_with_a_killed_sweep(tmp_path):
 
 def test_check_foliated_writes_field_dump(tmp_path):
     params = ProblemParams(theta=0.1, p=2.0)
-    out = run_check_foliated(
-        params, disk(1.0), (32, 64), SolveOptions(n_starts=1, seed=0), out_dir=str(tmp_path)
-    )
+    out = run_check_foliated(params, disk(1.0), (32, 64), n_starts=1, seed=0, out_dir=str(tmp_path))
     assert out["passed"]
     dumped = parse_field((tmp_path / "minimizer.txt").read_text())
     assert dumped.grid.key() == build_polar_grid(disk(1.0), 32, 64).key()

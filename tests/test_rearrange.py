@@ -183,6 +183,21 @@ def test_mollify_preserves_constants_and_small_eps_identity():
             mollify(f, eps)
 
 
+def test_mollifier_size_cap(monkeypatch):
+    # a radius whose matrix would exceed the cap is refused while the ring
+    # stencils are counted, before the matrix is tiled
+    from polarmin import rearrange
+
+    monkeypatch.setattr(rearrange, "MOLLIFIER_MAX_NNZ", 1000)
+    monkeypatch.setattr(rearrange, "_MOLLIFIER_CACHE", {})
+    f = smooth_field(build_polar_grid(disk(1.0), 8, 16), 4)
+    with pytest.raises(ValueError, match="needs over 1000 nonzeros"):
+        mollify(f, 3.0)
+    assert mollification_matrix(f.grid, 0.05).nnz <= 1000
+    # 0.05 is below the node spacing on every ring but the innermost
+    assert np.array_equal(mollify(f, 0.05).values[1:], f.values[1:])
+
+
 def test_mollify_preserves_two_point_order():
     g = build_polar_grid(disk(1.0), 6, 16)
     rng = np.random.default_rng(6)
@@ -288,6 +303,18 @@ def test_symmetry_report_equivariance():
         assert abs(rep_k.even_defect - rep.even_defect) <= 1e-12
         shift = (rep.axis_angle - rep_k.axis_angle - k * g.delta_a) % (2 * math.pi)
         assert min(shift, 2 * math.pi - shift) <= 1e-6
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_foliated_defect_ignores_the_tie_break(exhaustive):
+    # foliated about an axis a quarter cell toward -x2 of the grid angle 0:
+    # on each +-pair the -x2 node is the larger, against
+    # foliated_symmetrize's tie-break; the x1-mirror leans toward +x2
+    g = build_polar_grid(disk(1.0), 24, 48)
+    r, a = g.r_nodes[:, None], g.a_nodes[None, :]
+    for lean in (1.0, -1.0):
+        f = Field(g, r * np.exp(np.cos(a + lean * g.delta_a / 4)))
+        assert symmetry_report(f, exhaustive).foliated_defect == 0.0
 
 
 def test_symmetry_report_zero_field():

@@ -333,3 +333,16 @@ def test_substituted_variable_is_consistent():
     U = psi(res.u.values, params.theta)
     val = evaluate(params, g, U, res.u.values).value
     assert abs(val - res.lam) <= 1e-10 * abs(res.lam)
+
+
+def test_line_search_stall_stops_the_descent(monkeypatch):
+    # with no gradient tolerance to meet, each start runs until a step can
+    # no longer lower the merit in double precision, and reports that
+    from polarmin import solve
+
+    monkeypatch.setattr(solve, "GRAD_TOL", 0.0)
+    grid = build_polar_grid(disk(1.0), 16, 32)
+    res = minimize(ProblemParams(theta=0.2, p=3.0), grid, SolveOptions(n_starts=2, seed=0))
+    assert not res.converged
+    assert 0 < res.iterations < solve.MAX_ITERS
+    assert all(b <= a for a, b in zip(res.merits, res.merits[1:]))
