@@ -28,6 +28,7 @@ from .grids import (
 __all__ = [
     "HalfPlane",
     "HOrder",
+    "Mollifier",
     "SymmetryReport",
     "grid_half_planes",
     "two_point_rearrange",
@@ -139,7 +140,50 @@ _MOLLIFIER_CACHE: dict[tuple, object] = {}
 MOLLIFIER_MAX_NNZ = 2**27  # most nonzeros of a mollification matrix (~1.6 GB of CSR arrays)
 
 
-def mollification_matrix(grid: PolarGrid, eps: float):
+@dataclass(frozen=True, eq=False)
+class Mollifier:
+    """The mollification matrix as one read-only stencil per ring: row
+    (i, j) holds weight vals[t] at node (src[t], j + s[t]) for each term t
+    of ``stencils[i] = (vals, src, s)``."""
+
+    grid: PolarGrid
+    stencils: tuple
+
+    @property
+    def nnz(self) -> int:
+        return self.grid.n_a * sum(vals.size for vals, _, _ in self.stencils)
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The matrix over the grid's nodes, each ring's stencil tiled over its rows."""
+        n_a = self.grid.n_a
+        rows = np.arange(n_a)[:, None]
+        counts = np.array([v.size for v, _, _ in self.stencils])
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(counts, n_a))])
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        for i, (vals, src, s) in enumerate(self.stencils):
+            block = slice(indptr[i * n_a], indptr[(i + 1) * n_a])
+            data[block].reshape(n_a, -1)[:] = vals
+            indices[block].reshape(n_a, -1)[:] = src * n_a + (rows + s) % n_a
+        return sp.csr_matrix((data, indices, indptr), shape=(self.grid.n_nodes,) * 2)
+
+    def __matmul__(self, values: np.ndarray) -> np.ndarray:
+        """Apply to an (n_r, n_a) array ring by ring, holding one ring's
+        terms at a time.  Each row sums its terms in CSR column order, so
+        the result equals ``tocsr() @ values.ravel()`` bit for bit."""
+        n_a = self.grid.n_a
+        # window[i, s] is ring i rotated by s cells (a view, not a copy)
+        window = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([values, values], axis=1), n_a, axis=1)
+        out = np.empty(self.grid.shape)
+        for i, (vals, src, s) in enumerate(self.stencils):
+            terms = window[src, s]
+            terms *= vals[:, None]
+            np.add.reduce(terms, axis=0, out=out[i])
+        return out
+
+
+def mollification_matrix(grid: PolarGrid, eps: float) -> Mollifier:
     """Row-stochastic smoothing matrix: compactly supported radial bump
     kernel (1 - (d/eps)^2)^2 at node-to-node Euclidean distances, columns
     weighted by quadrature weight, rows normalized to sum 1.
@@ -149,7 +193,7 @@ def mollification_matrix(grid: PolarGrid, eps: float):
     and the offset s.  Each ring's stencil is computed once, for
     s in [0, n_a/2], and mirrored to -s, so it is exactly even in s and
     the matrix commutes exactly with the grid's rotations and axis
-    reflections; the CSR arrays are its tiling over the ring's rows.
+    reflections; ``Mollifier.tocsr`` tiles it over the ring's rows.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("mollification radius must be positive and finite")
@@ -165,7 +209,6 @@ def mollification_matrix(grid: PolarGrid, eps: float):
     # small d; offsets s and n_a - s share one value, bit for bit
     half = np.arange(n_a // 2 + 1)
     sin2 = (4.0 * np.sin(half * (math.pi / n_a)) ** 2)[np.concatenate([half, half[-2:0:-1]])]
-    rows = np.arange(n_a)[:, None]
     stencils, nnz = [], 0
     for i in range(n_r):
         d2 = ((r[i] - r) ** 2)[:, None] + (r[i] * r)[:, None] * sin2[None, :]
@@ -174,18 +217,14 @@ def mollification_matrix(grid: PolarGrid, eps: float):
         if nnz > MOLLIFIER_MAX_NNZ:
             raise ValueError(f"mollification radius {eps} needs over {MOLLIFIER_MAX_NNZ} nonzeros")
         # the node itself (d = 0) is always in, so the sum is positive and
-        # an isolated node keeps weight exactly 1
-        vals = (1.0 - d2[ring, s] / eps2) ** 2 * ring_w[ring]
-        stencils.append((vals / vals.sum(), ring * n_a, s))
-    counts = np.array([v.size for v, _, _ in stencils])
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(counts, n_a))])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    for i, (vals, base, s) in enumerate(stencils):
-        block = slice(indptr[i * n_a], indptr[(i + 1) * n_a])
-        data[block].reshape(n_a, -1)[:] = vals
-        indices[block].reshape(n_a, -1)[:] = base + (rows + s) % n_a
-    m = sp.csr_matrix((data, indices, indptr), shape=(grid.n_nodes, grid.n_nodes))
+        # an isolated node keeps weight exactly 1, also when eps^2 underflows to 0
+        d2 = d2[ring, s]
+        vals = (1.0 - np.divide(d2, eps2, out=np.zeros_like(d2), where=d2 > 0)) ** 2 * ring_w[ring]
+        stencil = (vals / vals.sum(), ring, s)
+        for a in stencil:
+            a.setflags(write=False)
+        stencils.append(stencil)
+    m = Mollifier(grid, tuple(stencils))
     if len(_MOLLIFIER_CACHE) > 32:
         _MOLLIFIER_CACHE.clear()
     _MOLLIFIER_CACHE[key] = m
@@ -194,10 +233,10 @@ def mollification_matrix(grid: PolarGrid, eps: float):
 
 def mollify(f: Field, eps: float) -> Field:
     """Smooth f by the normalized compact radial kernel.  Constants are
-    preserved exactly; a radius below the node spacing gives the identity;
-    two-point orderings (check_H_order classifications) are preserved."""
-    m = mollification_matrix(f.grid, eps)
-    return Field(f.grid, (m @ f.values.ravel()).reshape(f.grid.shape))
+    preserved to roundoff; a radius below the node spacing gives the
+    identity; two-point orderings (check_H_order classifications) are
+    preserved."""
+    return Field(f.grid, mollification_matrix(f.grid, eps) @ f.values)
 
 
 def weighted_l2(grid: PolarGrid, values: np.ndarray) -> float:

@@ -316,7 +316,7 @@ def test_criterion_7_mollify_preserves_order_million_trials():
         xs = np.cos(grid.a_nodes) * e[0] + np.sin(grid.a_nodes) * e[1]
         inside = xs > 1e-12
         for eps in eps_values:
-            m = mollification_matrix(grid, eps).toarray()
+            m = mollification_matrix(grid, eps).tocsr().toarray()
             batch = rng.standard_normal((per_combo, grid.n_r, grid.n_a))
             mirrored = batch[:, :, idx]
             arranged = np.where(

@@ -389,6 +389,14 @@ def test_cli_rearrange_round_trip(tmp_path, capsys):
     assert np.allclose(got.values, f.values[:, (-np.arange(8)) % 8])
 
 
+def test_cli_mollify_below_the_squared_radius_underflow_is_the_identity(tmp_path, capsys):
+    f = smooth_field(build_polar_grid(disk(1.0), 6, 16), 3)
+    src = tmp_path / "field.txt"
+    src.write_text(dump_field(f))
+    assert main(["rearrange", "--op", "mollify", "--eps", "1e-200", "--in", str(src)]) == 0
+    assert np.array_equal(parse_field(capsys.readouterr().out).values, parse_field(dump_field(f)).values)
+
+
 def test_cli_check_foliated(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config_to_json(ProblemParams(theta=0.1, p=2.0), disk(1.0)))

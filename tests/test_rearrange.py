@@ -215,6 +215,78 @@ def test_mollify_preserves_two_point_order():
         assert check_H_order(mollify(neg, 0.3), h, 1e-12) == HOrder.IS_SIGMA_UH
 
 
+def test_mollify_below_the_squared_radius_underflow_is_the_identity():
+    # eps^2 underflows to 0.0 below about 1.5e-162; only the node itself is
+    # in the stencil, with weight exactly 1
+    f = smooth_field(build_polar_grid(disk(1.0), 6, 16), 5)
+    for eps in (1e-162, 1e-200, 5e-324):
+        assert np.array_equal(mollify(f, eps).values, f.values)
+
+
+@pytest.mark.parametrize(
+    "domain, n_r, n_a",
+    [(disk(1.0), 6, 16), (disk(1.0), 12, 32), (annulus(0.5, 1.0), 8, 24),
+     (annulus(0.1, 3.0), 7, 12)],
+    ids=["disk-6x16", "disk-12x32", "annulus-8x24", "annulus-7x12"],
+)
+@pytest.mark.parametrize("eps", [1e-9, 0.137, 0.41, 2.5])
+def test_mollify_equals_the_tiled_matrix_bit_for_bit(domain, n_r, n_a, eps):
+    g = build_polar_grid(domain, n_r, n_a)
+    m = mollification_matrix(g, eps)
+    csr = m.tocsr()
+    assert m.nnz == csr.nnz
+    rng = np.random.default_rng(n_r * n_a)
+    mixed = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-5, 4, g.shape)
+    signed_zeros = np.where(rng.random(g.shape) < 0.5, -0.0, 0.0)
+    signed_zeros[::2, ::3] = 5e-324
+    partly_zero = rng.standard_normal(g.shape)
+    partly_zero[: n_r // 2] = -0.0
+    for values in (mixed, signed_zeros, partly_zero):
+        f = Field(g, values)
+        assert mollify(f, eps).values.tobytes() == (csr @ f.values.ravel()).tobytes()
+
+
+def test_mollify_builds_no_sparse_matrix(monkeypatch):
+    from polarmin import rearrange
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mollify built a CSR matrix")
+
+    monkeypatch.setattr(rearrange, "_MOLLIFIER_CACHE", {})
+    monkeypatch.setattr(rearrange.sp, "csr_matrix", refuse)
+    f = smooth_field(build_polar_grid(disk(1.0), 24, 48), 3)
+    assert np.all(np.isfinite(mollify(f, 0.3).values))
+
+
+def test_cold_mollify_holds_one_ring_of_terms(monkeypatch):
+    # the 128x256 operator at eps = 0.05 has 6.6M nonzeros (~80 MiB as CSR
+    # arrays); applied ring by ring, a cold call allocates under 16 MiB
+    import tracemalloc
+
+    from polarmin import rearrange
+
+    monkeypatch.setattr(rearrange, "_MOLLIFIER_CACHE", {})
+    f = smooth_field(build_polar_grid(disk(1.0), 128, 256), 3)
+    tracemalloc.start()
+    try:
+        mollify(f, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_cached_mollifier_is_read_only():
+    g = build_polar_grid(disk(1.0), 6, 16)
+    m = mollification_matrix(g, 0.4)
+    for vals, src, s in m.stencils:
+        for a in (vals, src, s):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+    f = smooth_field(g, 5)
+    assert np.array_equal(mollify(f, 0.4).values, (m.tocsr() @ f.values.ravel()).reshape(g.shape))
+
+
 def dense_mollifier(grid, eps):
     """Independent oracle: the kernel pair by pair from Cartesian node
     coordinates, times the column's quadrature weight, rows normalized."""
@@ -240,7 +312,7 @@ def node_permutation(grid, angular):
 @pytest.mark.parametrize("eps", [0.01, 0.137, 0.41, 0.93, 2.5])
 def test_mollification_matrix_matches_dense_oracle(domain, n_r, n_a, eps):
     g = build_polar_grid(domain, n_r, n_a)
-    m = mollification_matrix(g, eps)
+    m = mollification_matrix(g, eps).tocsr()
     inside, want = dense_mollifier(g, eps)
     pattern = np.zeros(inside.shape, dtype=bool)
     pattern[np.repeat(np.arange(g.n_nodes), np.diff(m.indptr)), m.indices] = True
