@@ -60,6 +60,12 @@ class RadialDomain:
             raise ValueError("disk requires r_inner = 0")
         if self.kind == "annulus" and self.r_inner == 0.0:
             raise ValueError("annulus requires r_inner > 0")
+        try:  # r_outer**2 raises OverflowError above about 1.34e154
+            finite = math.isfinite(self.area)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"domain area overflows at r_outer = {self.r_outer}")
 
     @property
     def area(self) -> float:

@@ -1,7 +1,8 @@
 """Two-point rearrangement, foliated symmetrization and symmetry defects.
 
-All transforms act circle by circle (radius by radius) through exact node
-permutations, so value multisets per circle are preserved to the bit.
+All transforms but ``mollify`` act circle by circle (radius by radius)
+through exact node permutations, so value multisets per circle are
+preserved to the bit; ``mollify`` averages over neighboring nodes.
 Half-planes through the origin are encoded by the angle of their inward
 normal; a reflection is admissible only when it maps grid nodes to grid
 nodes (normal at an exact multiple of half the angular spacing).
@@ -15,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grids import (
     Field,
@@ -137,14 +137,15 @@ def foliated_symmetrize(f: Field) -> Field:
 
 
 _MOLLIFIER_CACHE: dict[tuple, object] = {}
-MOLLIFIER_MAX_NNZ = 2**27  # most nonzeros of a mollification matrix (~1.6 GB of CSR arrays)
+MOLLIFIER_MAX_NNZ = 2**27  # most terms (weight times node value) one mollification sums
 
 
 @dataclass(frozen=True, eq=False)
 class Mollifier:
-    """The mollification matrix as one read-only stencil per ring: row
-    (i, j) holds weight vals[t] at node (src[t], j + s[t]) for each term t
-    of ``stencils[i] = (vals, src, s)``."""
+    """The mollification operator as one read-only stencil per ring: node
+    (i, j) takes weight vals[t] of node (src[t], j + s[t]) for each term t
+    of ``stencils[i] = (vals, src, s)``; ``nnz`` counts the terms over all
+    nodes."""
 
     grid: PolarGrid
     stencils: tuple
@@ -153,24 +154,10 @@ class Mollifier:
     def nnz(self) -> int:
         return self.grid.n_a * sum(vals.size for vals, _, _ in self.stencils)
 
-    def tocsr(self) -> sp.csr_matrix:
-        """The matrix over the grid's nodes, each ring's stencil tiled over its rows."""
-        n_a = self.grid.n_a
-        rows = np.arange(n_a)[:, None]
-        counts = np.array([v.size for v, _, _ in self.stencils])
-        indptr = np.concatenate([[0], np.cumsum(np.repeat(counts, n_a))])
-        data = np.empty(indptr[-1])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        for i, (vals, src, s) in enumerate(self.stencils):
-            block = slice(indptr[i * n_a], indptr[(i + 1) * n_a])
-            data[block].reshape(n_a, -1)[:] = vals
-            indices[block].reshape(n_a, -1)[:] = src * n_a + (rows + s) % n_a
-        return sp.csr_matrix((data, indices, indptr), shape=(self.grid.n_nodes,) * 2)
-
     def __matmul__(self, values: np.ndarray) -> np.ndarray:
         """Apply to an (n_r, n_a) array ring by ring, holding one ring's
-        terms at a time.  Each row sums its terms in CSR column order, so
-        the result equals ``tocsr() @ values.ravel()`` bit for bit."""
+        terms at a time.  Each node sums its terms in stencil order, from
+        the first term on."""
         n_a = self.grid.n_a
         # window[i, s] is ring i rotated by s cells (a view, not a copy)
         window = np.lib.stride_tricks.sliding_window_view(
@@ -184,7 +171,7 @@ class Mollifier:
 
 
 def mollification_matrix(grid: PolarGrid, eps: float) -> Mollifier:
-    """Row-stochastic smoothing matrix: compactly supported radial bump
+    """Row-stochastic smoothing operator: compactly supported radial bump
     kernel (1 - (d/eps)^2)^2 at node-to-node Euclidean distances, columns
     weighted by quadrature weight, rows normalized to sum 1.
 
@@ -192,8 +179,8 @@ def mollification_matrix(grid: PolarGrid, eps: float) -> Mollifier:
     cell, so entry ((i, j), (i', j + s)) depends only on the rings i, i'
     and the offset s.  Each ring's stencil is computed once, for
     s in [0, n_a/2], and mirrored to -s, so it is exactly even in s and
-    the matrix commutes exactly with the grid's rotations and axis
-    reflections; ``Mollifier.tocsr`` tiles it over the ring's rows.
+    the operator commutes exactly with the grid's rotations and axis
+    reflections; ``Mollifier`` applies it to every node of the ring.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("mollification radius must be positive and finite")

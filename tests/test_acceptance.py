@@ -48,6 +48,7 @@ from polarmin.solve import SolveOptions, certify, minimize
 from polarmin.spectral import neumann_root
 
 from test_grids import smooth_field
+from test_rearrange import applied
 
 LAM2 = neumann_root(1, 1) ** 2
 
@@ -316,7 +317,7 @@ def test_criterion_7_mollify_preserves_order_million_trials():
         xs = np.cos(grid.a_nodes) * e[0] + np.sin(grid.a_nodes) * e[1]
         inside = xs > 1e-12
         for eps in eps_values:
-            m = mollification_matrix(grid, eps).tocsr().toarray()
+            m = applied(mollification_matrix(grid, eps))
             batch = rng.standard_normal((per_combo, grid.n_r, grid.n_a))
             mirrored = batch[:, :, idx]
             arranged = np.where(

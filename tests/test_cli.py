@@ -283,6 +283,7 @@ BAD_CONFIGS = {
     '"domain": {"kind": "disk"}}',
     "zero_f_c0": '{"theta": 0.1, "p": 2.0, "F": {"kind": "zero", "c0": 5.0, "alpha": 3.0}, '
     '"domain": {"kind": "disk"}}',
+    "huge_disk": '{"theta": 0.1, "p": 2.0, "domain": {"kind": "disk", "r_outer": 1e160}}',
 }
 
 
@@ -309,12 +310,15 @@ BAD_CONFIGS = {
         (["sweep-p", "--config", "{c0_null}", "--values", "2"], "'c0' must be a number"),
         (["check-foliated", "--threshold", "0.1"], "unrecognized arguments: --threshold"),
         (["check-foliated", "--config", "{zero_f_c0}"], "F = 0 takes no coefficient"),
+        (["check-foliated", "--config", "{huge_disk}"], "domain area overflows"),
         (["sweep-p", "--config", "{missing}", "--values", "2"], "No such file or directory"),
         (["check-foliated", "--config", "{missing}"], "No such file or directory"),
         (["eig", "--n-max", "-1"], "--n-max must be >= 0 and --k-max >= 1"),
         (["eig", "--k-max", "0"], "--n-max must be >= 0 and --k-max >= 1"),
         (["rearrange", "--op", "foliated", "--in", "{bad_field}"], "n_a must be divisible by 4"),
         (["rearrange", "--op", "foliated", "--in", "{missing}"], "No such file or directory"),
+        (["rearrange", "--op", "mollify", "--eps", "1e150", "--in", "{huge_field}"],
+         "domain area overflows"),
         (["rearrange", "--op", "mollify", "--eps", "-1", "--in", "{field}"],
          "mollification radius must be positive"),
         (["rearrange", "--op", "mollify", "--eps", "inf", "--in", "{field}"],
@@ -333,9 +337,10 @@ BAD_CONFIGS = {
          "check-foliated-seed", "check-foliated-starts",
          "grid-check-foliated", "grid-sweep-p", "grid-sweep-theta", "sweep-p-annulus",
          "sweep-theta-p3", "config-no-r-inner", "config-theta-null", "config-c0-null",
-         "no-threshold-flag", "config-zero-f-c0", "sweep-p-missing-config",
+         "no-threshold-flag", "config-zero-f-c0", "config-area-overflow", "sweep-p-missing-config",
          "check-foliated-missing-config", "eig-negative-n-max", "eig-zero-k-max",
-         "rearrange-malformed-field", "rearrange-missing-field", "rearrange-negative-eps",
+         "rearrange-malformed-field", "rearrange-missing-field", "rearrange-area-overflow",
+         "rearrange-negative-eps",
          "rearrange-infinite-eps",
          "rearrange-off-grid-angle", "check-foliated-out-is-file", "sweep-p-out-is-file",
          "rearrange-out-dir-missing", "rearrange-out-is-dir"],
@@ -348,6 +353,8 @@ def test_cli_rejected_input_is_usage_error(tmp_path, capsys, argv, message):
     paths["missing"] = tmp_path / "missing.json"
     paths["bad_field"] = tmp_path / "bad_field.txt"
     paths["bad_field"].write_text("# 2 6 0.0 1.0\n")
+    paths["huge_field"] = tmp_path / "huge_field.txt"
+    paths["huge_field"].write_text("# 4 8 0.0 1e160\n")
     paths["field"] = tmp_path / "field.txt"
     paths["field"].write_text(dump_field(smooth_field(build_polar_grid(disk(1.0), 4, 8), 3)))
     with pytest.raises(SystemExit) as exc:
@@ -514,10 +521,25 @@ def test_refinement_failure_surfaces_in_the_parent(monkeypatch):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
-def test_refinement_child_dies_with_a_killed_sweep(tmp_path):
-    # a sweep killed by SIGKILL runs no cleanup; its refinement child must
-    # not keep running on its own.  The helper's child writes its pid and
-    # stalls, then the helper is killed.
+@pytest.mark.parametrize(
+    "stalls, sweep",
+    [
+        # the refinement child stalls on the doubled grid
+        ("True",
+         "cli.run_sweep_theta(cli.SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0),\n"
+         "                                  'theta', (0.05, 0.1, 0.2), (24, 48)))\n"),
+        # the child running the first grid segment stalls on its grid
+        ("(n_r, n_a) == (16, 32)",
+         "cli.SweepSpec.grid_for = lambda self, v: (16, 32) if v <= 8.0 else (24, 48)\n"
+         "cli.run_sweep_p(cli.SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0),\n"
+         "                              'p', (2.0, 4.0, 16.0), None))\n"),
+    ],
+    ids=["refinement", "segment"],
+)
+def test_forked_child_dies_with_a_killed_sweep(tmp_path, stalls, sweep):
+    # a sweep killed by SIGKILL runs no cleanup; its forked children must
+    # not keep running on their own.  The helper's child writes its pid and
+    # stalls, then the helper is killed while it waits for that child.
     pid_file = tmp_path / "child.pid"
     code = (
         "import os, time\n"
@@ -525,14 +547,13 @@ def test_refinement_child_dies_with_a_killed_sweep(tmp_path):
         "from polarmin.functional import ProblemParams\n"
         "from polarmin.grids import disk\n"
         "helper, build = os.getpid(), cli.build_polar_grid\n"
-        "def stall(*args):\n"
-        "    if os.getpid() != helper:  # the refinement child\n"
+        "def stall(domain, n_r, n_a):\n"
+        f"    if os.getpid() != helper and {stalls}:\n"
         f"        open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
         "        time.sleep(60)\n"
-        "    return build(*args)\n"
+        "    return build(domain, n_r, n_a)\n"
         "cli.build_polar_grid = stall\n"
-        "cli.run_sweep_theta(cli.SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0),\n"
-        "                                  'theta', (0.05, 0.1, 0.2), (24, 48)))\n"
+        + sweep
     )
     env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
     helper = subprocess.Popen([sys.executable, "-c", code], env=env)
@@ -545,20 +566,20 @@ def test_refinement_child_dies_with_a_killed_sweep(tmp_path):
     finally:
         helper.kill()
         helper.wait()
+    stat = Path(f"/proc/{child}/stat")
 
-    def state():  # None once the child is gone; "Z" once it is a zombie
+    def alive():  # neither gone nor a zombie
         try:
-            return Path(f"/proc/{child}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            return stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
         except FileNotFoundError:
-            return None
+            return False
 
     deadline = time.monotonic() + 2.0
-    while state() not in (None, "Z") and time.monotonic() < deadline:
+    while alive() and time.monotonic() < deadline:
         time.sleep(0.02)
-    alive = state() not in (None, "Z")
-    if alive:
+    if alive():
         os.kill(child, signal.SIGKILL)
-    assert not alive, "the refinement child outlived its killed sweep"
+        pytest.fail("the forked child outlived its killed sweep")
 
 
 def two_grid_p_spec(monkeypatch, out_dir=None):
@@ -625,54 +646,6 @@ def test_earliest_failing_row_wins_across_grid_segments(monkeypatch, rejected, r
     with pytest.raises(RuntimeError, match=f"p={raised} rejected"):
         run_sweep_p(two_grid_p_spec(monkeypatch))
     assert multiprocessing.active_children() == []
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
-def test_segment_child_dies_with_a_killed_sweep(tmp_path):
-    # the child running the first grid segment stalls on its grid, then the
-    # sweep is SIGKILLed while it waits for that child
-    pid_file = tmp_path / "child.pid"
-    code = (
-        "import os, time\n"
-        "from polarmin import cli\n"
-        "from polarmin.functional import ProblemParams\n"
-        "from polarmin.grids import disk\n"
-        "helper, build = os.getpid(), cli.build_polar_grid\n"
-        "def stall(domain, n_r, n_a):\n"
-        "    if os.getpid() != helper and (n_r, n_a) == (16, 32):  # the segment child\n"
-        f"        open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
-        "        time.sleep(60)\n"
-        "    return build(domain, n_r, n_a)\n"
-        "cli.build_polar_grid = stall\n"
-        "cli.SweepSpec.grid_for = lambda self, v: (16, 32) if v <= 8.0 else (24, 48)\n"
-        "cli.run_sweep_p(cli.SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0),\n"
-        "                              'p', (2.0, 4.0, 16.0), None))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
-    helper = subprocess.Popen([sys.executable, "-c", code], env=env)
-    try:
-        deadline = time.monotonic() + 60.0
-        while not (pid_file.exists() and pid_file.read_text()):
-            assert helper.poll() is None and time.monotonic() < deadline
-            time.sleep(0.02)
-        child = int(pid_file.read_text())
-    finally:
-        helper.kill()
-        helper.wait()
-    stat = Path(f"/proc/{child}/stat")
-
-    def alive():  # neither gone nor a zombie
-        try:
-            return stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
-        except FileNotFoundError:
-            return False
-
-    deadline = time.monotonic() + 2.0
-    while alive() and time.monotonic() < deadline:
-        time.sleep(0.02)
-    if alive():
-        os.kill(child, signal.SIGKILL)
-        pytest.fail("the segment child outlived its killed sweep")
 
 
 def test_check_foliated_writes_field_dump(tmp_path):

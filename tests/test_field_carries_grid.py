@@ -12,11 +12,11 @@ import typing
 
 import pytest
 
-from polarmin import cli, functional, grids, solve
+from polarmin import cli, functional, grids, rearrange, solve, spectral
 from polarmin.grids import Field, PolarGrid
 from polarmin.solve import MinimizeResult
 
-MODULES = (grids, functional, solve, cli)
+MODULES = (grids, functional, solve, cli, rearrange, spectral)
 FIELD_TYPES = (Field, MinimizeResult)
 
 

@@ -67,6 +67,15 @@ def test_degenerate_domains_rejected():
         disk(0.0)
 
 
+@pytest.mark.parametrize("radius", [1.3e154, 1.4e154, 1e160])
+def test_domain_whose_area_overflows_rejected(radius):
+    # pi r^2 is inf at 1.3e154, and r**2 raises OverflowError from 1.4e154
+    for make in (disk, lambda r: annulus(1.0, r)):
+        with pytest.raises(ValueError, match="area overflows"):
+            make(radius)
+    assert math.isfinite(disk(7e153).area)
+
+
 def test_weights_positive_and_area_exact_when_refined():
     for dom in (disk(2.0), annulus(0.3, 1.7)):
         g = build_polar_grid(dom, 37 if dom.kind == "annulus" else 36, 44)

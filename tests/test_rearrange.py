@@ -231,10 +231,11 @@ def test_mollify_below_the_squared_radius_underflow_is_the_identity():
 )
 @pytest.mark.parametrize("eps", [1e-9, 0.137, 0.41, 2.5])
 def test_mollify_equals_the_tiled_matrix_bit_for_bit(domain, n_r, n_a, eps):
+    # named for the CSR product it used to match; the name keeps its 16 test
+    # ids stable, and it now checks mollify against the dense oracle
     g = build_polar_grid(domain, n_r, n_a)
-    m = mollification_matrix(g, eps)
-    csr = m.tocsr()
-    assert m.nnz == csr.nnz
+    inside, _ = dense_mollifier(g, eps)
+    assert mollification_matrix(g, eps).nnz == np.count_nonzero(inside)
     rng = np.random.default_rng(n_r * n_a)
     mixed = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-5, 4, g.shape)
     signed_zeros = np.where(rng.random(g.shape) < 0.5, -0.0, 0.0)
@@ -242,25 +243,12 @@ def test_mollify_equals_the_tiled_matrix_bit_for_bit(domain, n_r, n_a, eps):
     partly_zero = rng.standard_normal(g.shape)
     partly_zero[: n_r // 2] = -0.0
     for values in (mixed, signed_zeros, partly_zero):
-        f = Field(g, values)
-        assert mollify(f, eps).values.tobytes() == (csr @ f.values.ravel()).tobytes()
-
-
-def test_mollify_builds_no_sparse_matrix(monkeypatch):
-    from polarmin import rearrange
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("mollify built a CSR matrix")
-
-    monkeypatch.setattr(rearrange, "_MOLLIFIER_CACHE", {})
-    monkeypatch.setattr(rearrange.sp, "csr_matrix", refuse)
-    f = smooth_field(build_polar_grid(disk(1.0), 24, 48), 3)
-    assert np.all(np.isfinite(mollify(f, 0.3).values))
+        assert_mollify_matches_oracle(Field(g, values), eps)
 
 
 def test_cold_mollify_holds_one_ring_of_terms(monkeypatch):
-    # the 128x256 operator at eps = 0.05 has 6.6M nonzeros (~80 MiB as CSR
-    # arrays); applied ring by ring, a cold call allocates under 16 MiB
+    # the 128x256 operator at eps = 0.05 has 6.6M terms (~80 MiB were they
+    # all held at once); applied ring by ring, a cold call allocates under 16 MiB
     import tracemalloc
 
     from polarmin import rearrange
@@ -283,8 +271,7 @@ def test_cached_mollifier_is_read_only():
         for a in (vals, src, s):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
-    f = smooth_field(g, 5)
-    assert np.array_equal(mollify(f, 0.4).values, (m.tocsr() @ f.values.ravel()).reshape(g.shape))
+    assert_mollify_matches_oracle(smooth_field(g, 5), 0.4)
 
 
 def dense_mollifier(grid, eps):
@@ -297,6 +284,21 @@ def dense_mollifier(grid, eps):
     inside = d <= eps
     m = np.where(inside, (1.0 - (d / eps) ** 2) ** 2, 0.0) * grid.w.ravel()[None, :]
     return inside, m / m.sum(axis=1, keepdims=True)
+
+
+def assert_mollify_matches_oracle(f, eps):
+    """mollify(f) is the oracle's M f, elementwise to 1e-13 of |M| |f|."""
+    _, m = dense_mollifier(f.grid, eps)
+    v = f.values.ravel()
+    err = np.abs(mollify(f, eps).values.ravel() - m @ v)
+    assert np.all(err <= 1e-13 * (np.abs(m) @ np.abs(v)))
+
+
+def applied(m):
+    """The operator m as a dense matrix: column k is m applied to the k-th
+    unit field."""
+    unit = np.eye(m.grid.n_nodes).reshape(-1, *m.grid.shape)
+    return np.stack([(m @ e).ravel() for e in unit], axis=1)
 
 
 def node_permutation(grid, angular):
@@ -312,18 +314,20 @@ def node_permutation(grid, angular):
 @pytest.mark.parametrize("eps", [0.01, 0.137, 0.41, 0.93, 2.5])
 def test_mollification_matrix_matches_dense_oracle(domain, n_r, n_a, eps):
     g = build_polar_grid(domain, n_r, n_a)
-    m = mollification_matrix(g, eps).tocsr()
+    m = mollification_matrix(g, eps)
     inside, want = dense_mollifier(g, eps)
+    # node (i, j) reads node (src, j + s) for each term of ring i's stencil
+    j = np.arange(n_a)
     pattern = np.zeros(inside.shape, dtype=bool)
-    pattern[np.repeat(np.arange(g.n_nodes), np.diff(m.indptr)), m.indices] = True
+    for i, (_, src, s) in enumerate(m.stencils):
+        pattern[(i * n_a + j)[:, None], src * n_a + (j[:, None] + s) % n_a] = True
     assert np.array_equal(pattern, inside)
     assert m.nnz == np.count_nonzero(inside)
-    got = m.toarray()
+    got = applied(m)
     assert np.max(np.abs(got - want)) <= 1e-14
-    assert np.max(np.abs(np.asarray(m.sum(axis=1)).ravel() - 1.0)) <= 1e-14
+    assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-14
     # the stencil is exactly even in the angular offset, so the grid's
     # rotations and axis reflections permute M onto itself bit for bit
-    j = np.arange(n_a)
     for angular in ((j + 5) % n_a, reflection_index_map(g, math.pi / 2),
                     reflection_index_map(g, 0.0)):
         perm = node_permutation(g, angular)
