@@ -119,28 +119,23 @@ class Multipliers:
 def psi(xi, theta: float):
     """Odd increasing substitution sgn(xi)/(1-theta) [(1+|xi|)^{1-theta} - 1];
     the identity at theta = 0, and |psi(xi)| <= |xi|."""
-    xi = np.asarray(xi, dtype=float)
-    out = np.sign(xi) * np.expm1((1.0 - theta) * np.log1p(np.abs(xi))) / (1.0 - theta)
-    return float(out) if out.ndim == 0 else out
+    return np.sign(xi) * np.expm1((1.0 - theta) * np.log1p(np.abs(xi))) / (1.0 - theta)
 
 
 def phi(eta, theta: float):
     """Inverse of psi: sgn(eta) ([1 + (1-theta)|eta|]^{1/(1-theta)} - 1)."""
-    eta = np.asarray(eta, dtype=float)
-    out = np.sign(eta) * np.expm1(np.log1p((1.0 - theta) * np.abs(eta)) / (1.0 - theta))
-    return float(out) if out.ndim == 0 else out
+    return np.sign(eta) * np.expm1(np.log1p((1.0 - theta) * np.abs(eta)) / (1.0 - theta))
 
 
 def phi_prime(eta, theta: float):
     """Derivative of phi; equals (1 + |phi(eta)|)^theta."""
-    eta = np.asarray(eta, dtype=float)
-    out = (1.0 + (1.0 - theta) * np.abs(eta)) ** (theta / (1.0 - theta))
-    return float(out) if out.ndim == 0 else out
+    # np.power, not **: ** on a numpy scalar may round unlike the array loop
+    return np.power(1.0 + (1.0 - theta) * np.abs(eta), theta / (1.0 - theta))
 
 
 def lp_norm(v: Field, p: float) -> float:
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+    if not 1.0 < p < math.inf:
+        raise ValueError("p must be finite and exceed 1")
     return float(np.sum(v.grid.w * np.abs(v.values) ** p)) ** (1.0 / p)
 
 
@@ -152,25 +147,22 @@ def _f_over_weight(params: ProblemParams, v: np.ndarray) -> np.ndarray:
     return -f.c0 * av**f.alpha / (1.0 + av) ** (2.0 * params.theta)
 
 
-def g_term(r, t, params: ProblemParams):
-    """Derivative in t of F(r, t) / (2 (1 + |t|)^{2 theta}); zero when
-    F = 0, odd in t for the even power-law family."""
+def g_term(t, params: ProblemParams):
+    """Derivative in t of F(t) / (2 (1 + |t|)^{2 theta}); zero when F = 0,
+    odd in t for the even power-law family."""
     f = params.f_spec
-    t = np.asarray(t, dtype=float)
     if f.kind == "zero":
-        out = np.zeros_like(t)
-        return float(out) if out.ndim == 0 else out
+        return np.zeros(np.shape(t))[()]  # [()] makes a 0-d result a scalar
     theta = params.theta
     at = np.abs(t)
-    out = (
+    return (
         -0.5
         * f.c0
         * np.sign(t)
-        * at ** (f.alpha - 1.0)
-        * (1.0 + at) ** (-2.0 * theta - 1.0)
+        * np.power(at, f.alpha - 1.0)  # np.power: see phi_prime
+        * np.power(1.0 + at, -2.0 * theta - 1.0)
         * (f.alpha * (1.0 + at) - 2.0 * theta * at)
     )
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -191,10 +183,10 @@ class Point:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        """2 AU - 2 w g(r, u) phi'(U), the exact gradient of the value."""
+        """2 AU - 2 w g(u) phi'(U), the exact gradient of the value."""
         if self.params.f_spec.kind == "zero":
             return self.dirichlet_grad
-        g = g_term(self.grid.r_nodes[:, None], self.u, self.params)
+        g = g_term(self.u, self.params)
         return self.dirichlet_grad - 2.0 * self.grid.w * g * self.dphi
 
 
@@ -215,7 +207,7 @@ def eval_objective(params: ProblemParams, v: Field) -> float:
 
 def euler_residual(params: ProblemParams, u: Field, mult: Multipliers) -> Field:
     """Pointwise residual of the stationarity equation in U = psi(u):
-    (A U)/w + (c + d |u|^{p-2} u - g(|x|, u)) phi'(U), the gradient of half
+    (A U)/w + (c + d |u|^{p-2} u - g(u)) phi'(U), the gradient of half
     the objective plus the dual-weighted constraint gradients, per unit
     weight."""
     grid = u.grid
@@ -237,7 +229,7 @@ def multipliers_from_identities(params: ProblemParams, u: Field) -> Multipliers:
     uv = u.values
     au = np.abs(uv)
     gs = grad_sq(u).values
-    g = g_term(grid.r_nodes[:, None], uv, params)
+    g = g_term(uv, params)
     denom = (1.0 + au) ** (2.0 * theta + 1.0)
     d = float(
         np.sum(grid.w * uv * g) - np.sum(grid.w * gs * (1.0 + (1.0 - theta) * au) / denom)

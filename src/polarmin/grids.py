@@ -16,7 +16,7 @@ from typing import Callable, Literal
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.lapack import ztbtrs
+from scipy.linalg.lapack import zpbtrs
 
 __all__ = [
     "RadialDomain",
@@ -190,8 +190,8 @@ class PolarGrid:
         angular DFT splits it into one SPD pentadiagonal radial system per
         Fourier mode, known in closed form (`_radial_bands`).  Stacked mode
         after mode they form one banded SPD matrix, factored once by
-        LAPACK's banded Cholesky H = U^H U; a solve is the two triangular
-        substitutions.  The returned callable takes an
+        LAPACK's banded Cholesky H = U^H U; a solve is one LAPACK zpbtrs
+        call on that factor.  The returned callable takes an
         (n_nodes, k) block b and returns gram[i, j] = b_i . H^-1 b_j, taken
         by Parseval on the spectra, and combine(coef) = H^-1 (b @ coef) for
         a coefficient vector coef of length k, with one inverse transform.
@@ -216,9 +216,8 @@ class PolarGrid:
             # order LAPACK solves in
             spec = np.empty((k, n_m, n_r), dtype=complex)
             np.fft.rfft(b.T.reshape(k, n_r, n_a).transpose(0, 2, 1), axis=1, out=spec)
-            # U^H z = b, then U x = z: the two substitutions of zpbtrs
-            z = ztbtrs(factor, spec.reshape(k, -1).T, trans="C")[0]
-            x = ztbtrs(factor, z, overwrite_b=True)[0].T.reshape(k, n_m, n_r)
+            # U^H U x = b; zpbtrs solves into a copy, as gram reads spec below
+            x = zpbtrs(factor, spec.reshape(k, -1).T)[0].T.reshape(k, n_m, n_r)
 
             def vec(z):  # each column's spectrum as one real vector
                 return z.reshape(k, -1).view(float)
@@ -333,13 +332,13 @@ def _half_units(grid: PolarGrid, angle: float) -> int:
     """Express an angle as an integer count of half angular cells, or fail."""
     step = grid.delta_a / 2.0
     k = angle / step
-    k_round = round(k)
-    if abs(k - k_round) > 1e-9:
+    # k spaced wider than the tolerance (or inf, nan) is whole only by rounding
+    if not math.ulp(k) <= 1e-9 or abs(k - round(k)) > 1e-9:
         raise ValueError(
             f"angle {angle} is not a multiple of half the angular spacing; "
             "the reflection would not map nodes to nodes"
         )
-    return int(k_round) % (2 * grid.n_a)
+    return round(k) % (2 * grid.n_a)
 
 
 def reflection_index_map(grid: PolarGrid, normal_angle: float) -> np.ndarray:
@@ -371,6 +370,8 @@ def reflect_field(f: Field, axis) -> Field:
 def rotate_field(f: Field, steps: int) -> Field:
     """Compose with the rotation by ``steps`` angular cells:
     output[i, j] = f[i, j + steps]."""
+    if not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"rotation step count {steps!r} is not an integer")
     if steps % f.grid.n_a == 0:
         return f
     return Field(f.grid, np.roll(f.values, -int(steps), axis=1))

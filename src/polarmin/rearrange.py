@@ -73,28 +73,23 @@ def grid_half_planes(grid: PolarGrid, count: int | None = None) -> list[HalfPlan
     return [HalfPlane((k * stride + 0.5) * da) for k in range(n)]
 
 
-def _side_of(grid: PolarGrid, h: HalfPlane) -> np.ndarray:
-    """+1 for angular columns inside H, -1 outside, 0 on the boundary line
-    (exact integer arithmetic in units of half cells)."""
+def _inside(grid: PolarGrid, h: HalfPlane) -> np.ndarray:
+    """Mask of the angular columns inside the open half-plane H, boundary
+    line excluded (exact integer arithmetic in units of half cells)."""
     k2 = _half_units(grid, h.normal_angle)
     n_a = grid.n_a
     diff = (2 * np.arange(n_a) - k2) % (2 * n_a)
-    side = np.where((diff < n_a // 2) | (diff > 3 * (n_a // 2)), 1, -1)
-    side[(diff == n_a // 2) | (diff == 3 * (n_a // 2))] = 0
-    return side
+    return (diff < n_a // 2) | (diff > 3 * (n_a // 2))
 
 
 def two_point_rearrange(f: Field, h: HalfPlane) -> Field:
-    """Per reflection pair, put the larger value on the H side.  Idempotent,
+    """Per reflection pair, put the larger value on the H side (a column on
+    the boundary line is its own pair, so the minimum keeps it).  Idempotent,
     and preserves the value multiset on every circle."""
     grid = f.grid
-    idx = reflection_index_map(grid, h.normal_angle)
-    side = _side_of(grid, h)
-    mirrored = f.values[:, idx]
+    mirrored = f.values[:, reflection_index_map(grid, h.normal_angle)]
     out = np.where(
-        side[None, :] > 0,
-        np.maximum(f.values, mirrored),
-        np.where(side[None, :] < 0, np.minimum(f.values, mirrored), f.values),
+        _inside(grid, h), np.maximum(f.values, mirrored), np.minimum(f.values, mirrored)
     )
     return Field(grid, out)
 
@@ -104,8 +99,7 @@ def check_H_order(f: Field, h: HalfPlane, tol: float = 1e-12) -> HOrder:
     (within tol), IS_SIGMA_UH for the reverse order, NEITHER otherwise."""
     grid = f.grid
     idx = reflection_index_map(grid, h.normal_angle)
-    side = _side_of(grid, h)
-    diff = (f.values - f.values[:, idx])[:, side > 0]
+    diff = (f.values - f.values[:, idx])[:, _inside(grid, h)]
     if np.all(diff >= -tol):
         return HOrder.IS_UH
     if np.all(diff <= tol):

@@ -44,8 +44,8 @@ from .rearrange import (
     HalfPlane,
     SymmetryReport,
     _align,
+    _inside,
     _moment_axis,
-    _side_of,
     grid_half_planes,
     symmetry_report,
     two_point_rearrange,
@@ -380,8 +380,7 @@ def minimize_antisymmetric(
 
 def restrict_positive_x1(v: Field) -> Field:
     """Zero the field outside the open half-disk {x1 > 0}."""
-    inside = _side_of(v.grid, HalfPlane(0.0)) > 0
-    return Field(v.grid, np.where(inside[None, :], v.values, 0.0))
+    return Field(v.grid, np.where(_inside(v.grid, HalfPlane(0.0)), v.values, 0.0))
 
 
 def build_half_support_competitor(v_as: Field, params: ProblemParams) -> Field:

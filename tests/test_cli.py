@@ -325,6 +325,8 @@ BAD_CONFIGS = {
          "mollification radius must be positive and finite"),
         (["rearrange", "--op", "two-point", "--angle", "0.001", "--in", "{field}"],
          "not a multiple of half the angular spacing"),
+        (["rearrange", "--op", "two-point", "--angle", "1e17", "--in", "{field}"],
+         "not a multiple of half the angular spacing"),
         (["check-foliated", "--grid", "16x32", "--out", "{field}"], "File exists"),
         (["sweep-p", "--values", "2", "--grid", "16x32", "--out", "{field}"], "File exists"),
         (["rearrange", "--op", "foliated", "--in", "{field}", "--out", "{missing}/x.txt"],
@@ -342,7 +344,8 @@ BAD_CONFIGS = {
          "rearrange-malformed-field", "rearrange-missing-field", "rearrange-area-overflow",
          "rearrange-negative-eps",
          "rearrange-infinite-eps",
-         "rearrange-off-grid-angle", "check-foliated-out-is-file", "sweep-p-out-is-file",
+         "rearrange-off-grid-angle", "rearrange-huge-angle",
+         "check-foliated-out-is-file", "sweep-p-out-is-file",
          "rearrange-out-dir-missing", "rearrange-out-is-dir"],
 )
 def test_cli_rejected_input_is_usage_error(tmp_path, capsys, argv, message):

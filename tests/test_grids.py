@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +145,24 @@ def test_reflect_rejects_non_node_preserving():
     f = smooth_field(g)
     with pytest.raises(ValueError, match="map nodes to nodes"):
         reflect_field(f, 0.3 * g.delta_a)
+    # past 2**23 half cells the float spacing of angle / step exceeds the
+    # 1e-9 tolerance, so even an exact multiple cannot be told from its
+    # neighbors; inf and nan are no angle at all
+    step = g.delta_a / 2
+    assert np.array_equal(reflect_field(f, 2.0**22 * step).values, reflect_field(f, 0.0).values)
+    for angle in (2.0**23 * step, 1e17, -1e17, 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="not a multiple of half the angular spacing"):
+            reflect_field(f, angle)
+
+
+def test_rotate_takes_only_an_integer_step_count():
+    g = build_polar_grid(disk(1.0), 4, 8)
+    f = smooth_field(g, 2)
+    for steps in (3, np.int64(3), np.int32(-5)):
+        assert np.array_equal(rotate_field(f, steps).values, np.roll(f.values, -3, axis=1))
+    for steps in (1.5, 3.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="not an integer"):
+            rotate_field(f, steps)
 
 
 def test_reflection_rotation_preserve_integrals():
@@ -312,25 +329,6 @@ def test_operators_are_the_same_at_any_blas_thread_count():
         outs.append(out.stdout.split())
     assert len(outs[0]) == 10
     assert outs[0] == outs[1]
-
-
-@pytest.mark.parametrize("domain", [disk(1.0), annulus(0.5, 1.0)], ids=["disk", "annulus"])
-def test_h1_substitutions_match_cho_solve_banded(domain, monkeypatch):
-    # the two triangular substitutions are what LAPACK's zpbtrs performs
-    calls, ztbtrs = [], grids.ztbtrs
-
-    def record(ab, b, **kw):
-        b_in = b.copy()
-        out = ztbtrs(ab, b, **kw)
-        calls.append((ab, b_in, out[0].copy()))
-        return out
-
-    monkeypatch.setattr(grids, "ztbtrs", record)
-    g = build_polar_grid(domain, 12, 24)
-    g.h1_solve(np.random.default_rng(1).standard_normal((g.n_nodes, 3)))
-    (factor, spec, _), (_, _, x) = calls
-    ref = scipy.linalg.cho_solve_banded((factor, False), spec, check_finite=False)
-    assert np.array_equal(x, ref)
 
 
 def test_grid_is_freed_with_its_last_reference():

@@ -83,11 +83,20 @@ def test_multiset_preserved_per_circle():
             assert np.array_equal(np.sort(f.values[i]), np.sort(out.values[i]))
 
 
-def test_matches_brute_force_oracle():
-    g = build_polar_grid(disk(1.0), 3, 8)
+@pytest.mark.parametrize(
+    "domain, n_r, n_a",
+    [(disk(1.0), 3, 8), (disk(1.0), 2, 4), (disk(2.0), 4, 16),
+     (annulus(0.3, 1.0), 3, 12), (annulus(0.5, 1.5), 2, 24)],
+    ids=["disk-3x8", "disk-2x4", "disk-4x16", "annulus-3x12", "annulus-2x24"],
+)
+def test_matches_brute_force_oracle(domain, n_r, n_a):
+    # every half-plane whose reflection maps nodes to nodes: normals at the
+    # 2 n_a multiples of half the angular spacing, half of them with nodes
+    # on the boundary line
+    g = build_polar_grid(domain, n_r, n_a)
     rng = np.random.default_rng(2)
-    for angle in [hp.normal_angle for hp in grid_half_planes(g)] + [0.0, g.delta_a, 3 * g.delta_a]:
-        h = HalfPlane(angle)
+    for k in range(2 * n_a):
+        h = HalfPlane(k * g.delta_a / 2)
         vals = rng.standard_normal(g.shape)
         out = two_point_rearrange(Field(g, vals), h)
         assert np.array_equal(out.values, brute_force_rearrange(g, vals, h))
@@ -95,8 +104,10 @@ def test_matches_brute_force_oracle():
 
 def test_rejects_non_node_preserving():
     g = build_polar_grid(disk(1.0), 2, 8)
-    with pytest.raises(ValueError, match="map nodes to nodes"):
-        two_point_rearrange(smooth_field(g), HalfPlane(0.17))
+    # 1e17 and 1e300 are integers in units of half cells only by rounding
+    for angle in (0.17, 1e17, 1e300):
+        with pytest.raises(ValueError, match="map nodes to nodes"):
+            two_point_rearrange(smooth_field(g), HalfPlane(angle))
 
 
 def test_check_h_order_cosine():
