@@ -193,7 +193,7 @@ class Point:
 def evaluate(params: ProblemParams, grid: PolarGrid, U: np.ndarray, u: np.ndarray) -> Point:
     """Objective U.AU minus the quadrature of F(r, u)/(1+|u|)^{2 theta}, at
     the substituted values U = psi(u) of the field u."""
-    grad = 2.0 * (grid.stiffness @ U.ravel()).reshape(grid.shape)
+    grad = grid.stiffness(U)
     value = 0.5 * float(np.sum(U * grad))  # not a BLAS dot: the same at any thread count
     if params.f_spec.kind != "zero":
         value -= float(np.sum(grid.w * _f_over_weight(params, u)))

@@ -15,7 +15,6 @@ from typing import Callable, Literal
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.linalg.lapack import zpbtrs
 
 __all__ = [
@@ -119,7 +118,7 @@ class PolarGrid:
         return (d.kind, d.r_inner, d.r_outer, self.n_r, self.n_a)
 
     # Every operator is built from two 1-D stencils, the radial derivative D
-    # and the periodic forward angular difference S.  The stiffness matrix is
+    # and the periodic forward angular difference S.  The stiffness A is
     # the exact Hessian of the discrete Dirichlet energy, so -(A f)/w is the
     # divergence-form Laplacian of f, the exact first variation of it.
 
@@ -157,30 +156,29 @@ class PolarGrid:
         return k0, k1, k2, (pole * w[0]) * hi[0], (s * w) * s
 
     @cached_property
-    def stiffness(self) -> sp.csr_matrix:
-        """Symmetric PSD matrix A with f.A.f = integrate(grad_sq(f)):
-        kron(D^T W_r D, I) + kron(W_r/(r da)^2, S^T S) + the disk's pole
-        coupling, assembled as CSR from the 1-D products; zeros not stored."""
-        n_r, n_a = self.n_r, self.n_a
-        k0, k1, k2, pc, a = self._products
-        j = np.arange(n_a, dtype=np.int32)
-        anti, ring0 = np.roll(j, n_a // 2), np.eye(1, n_r)[0] * pc
-        # (ring offset, column angle per row angle, coefficient per ring)
-        offs, angles, coefs = zip(
-            (-2, j, np.roll(k2, 2)), (-1, j, np.roll(k1, 1)), (-1, anti, np.roll(ring0, 1)),
-            (0, np.roll(j, 1), -a), (0, j, k0 + 2.0 * a), (0, np.roll(j, -1), -a),
-            (1, anti, ring0), (1, j, k1), (2, j, k2),
-        )
-        # row (i, j) holds one slot per band; a band past the last ring wraps
-        # around in i, with coefficient 0.  int32: the index type CSR keeps
-        rings = np.arange(n_r, dtype=np.int32)[:, None, None] + np.array(offs, dtype=np.int32)
-        cols = rings % n_r * n_a + np.stack(angles, axis=1)
-        vals = np.broadcast_to(np.stack(coefs, axis=1)[:, None], cols.shape)
-        n, k = n_r * n_a, len(offs)
-        mat = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, k * n + 1, k)), shape=(n, n))
-        mat.eliminate_zeros()
-        mat.sort_indices()
-        return mat
+    def stiffness(self) -> Callable[[np.ndarray], np.ndarray]:
+        """U -> 2AU on (n_r, n_a) arrays, A being the symmetric PSD matrix with
+        f.A.f = integrate(grad_sq(f)): kron(D^T W_r D, I) + kron(W_r/(r da)^2,
+        S^T S) + the disk's pole coupling.  Applied from the 1-D products,
+        doubled (exactly), into a fresh array; it keeps no node-sized array."""
+        k0, k1, k2, pc, a = (2.0 * x for x in self._products)
+        diag, a, k2, h = (k0 + 2.0 * a)[:, None], a[:, None], k2[:-2, None], self.n_a // 2
+        ones = np.flatnonzero(k1)  # the first band is nonzero on the end rings only
+
+        def apply(U: np.ndarray) -> np.ndarray:
+            out, t = diag * U, np.empty_like(U)  # t: the one scratch array
+            np.add(U[:, :-2], U[:, 2:], out=t[:, 1:-1])  # angles j - 1 and j + 1
+            t[:, [0, -1]] = U[:, [-1, -2]] + U[:, [1, 0]]  # the periodic ends
+            out -= np.multiply(t, a, out=t)
+            out[:-2] += np.multiply(k2, U[2:], out=t[:-2])  # rings i + 2 and i - 2
+            out[2:] += np.multiply(k2, U[:-2], out=t[2:])
+            out[ones] += k1[ones, None] * U[ones + 1]
+            out[ones + 1] += k1[ones, None] * U[ones]
+            if pc:  # the disk's rings 0 and 1 read each other's antipodes
+                out[:2] += pc * np.roll(U[1::-1], h, axis=1)
+            return out
+
+        return apply
 
     @cached_property
     def h1_solve(self) -> Callable[[np.ndarray], tuple[np.ndarray, Callable]]:
@@ -311,7 +309,7 @@ def grad_sq(f: Field) -> Field:
     mean of the squared forward and backward edge differences, which is
     second-order at the node and makes the quadrature of this field the
     exact discrete Dirichlet energy.  Both are the 1-D stencils the
-    stiffness matrix is assembled from, applied to the (n_r, n_a) array.
+    stiffness is built from, applied to the (n_r, n_a) array.
     """
     lo, mid, hi, pole, s = f.grid._stencils
     F = f.values

@@ -234,7 +234,7 @@ def test_h1_solve_matches_sparse_direct_solve(r_inner, n_r, n_a, columns, seed):
     g = build_polar_grid(dom, n_r, n_a)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((g.n_nodes, columns))
-    ref = spsolve((sp.diags(g.w.ravel()) + g.stiffness).tocsc(), b).reshape(b.shape)
+    ref = spsolve((sp.diags(g.w.ravel()) + kronecker_operators(g)[2]).tocsc(), b).reshape(b.shape)
     gram, combine = g.h1_solve(b)
     # the Parseval weights: modes 0 and n_a/2 once, every other mode twice
     gram_ref = b.T @ ref
@@ -292,10 +292,11 @@ def test_operators_match_the_kronecker_construction(r_inner, n_r, n_a, seed):
     dom = disk(1.0) if r_inner == 0.0 else annulus(r_inner, r_inner + 1.0)
     g = build_polar_grid(dom, n_r, n_a)
     dc, df, ref, ref_bands = kronecker_operators(g)
-    ref.sum_duplicates()  # sorted, as the CSR assembly stores it
-    A = g.stiffness
-    assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
-    assert np.all(np.abs(A.data - ref.data) <= 1e-14 * np.abs(ref.data))
+    ref = 2.0 * ref.toarray()
+    # column k is the operator applied to unit field k; the bound leaves
+    # no room where the reference is zero, so those entries must be 0.0
+    applied = np.stack([g.stiffness(e.reshape(g.shape)).ravel() for e in np.eye(g.n_nodes)], axis=1)
+    assert np.all(np.abs(applied - ref) <= 1e-14 * np.abs(ref))
     for band, ref_band in zip(grids._radial_bands(g), ref_bands):
         assert band.shape == ref_band.shape == (n_r, n_a // 2 + 1)
         assert np.max(np.abs(band - ref_band)) <= 1e-14 * np.max(np.abs(ref_band))
@@ -316,7 +317,7 @@ def test_operators_are_the_same_at_any_blas_thread_count():
         "for dom in (disk(1.0), annulus(0.5, 1.0)):\n"
         "    g = build_polar_grid(dom, 96, 192)\n"
         "    f = Field(g, np.random.default_rng(3).normal(size=g.shape))\n"
-        "    for arr in (g.stiffness.data, *_radial_bands(g), grad_sq(f).values):\n"
+        "    for arr in (g.stiffness(f.values), *_radial_bands(g), grad_sq(f).values):\n"
         "        print(hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest())\n"
     )
     outs = []
@@ -329,6 +330,39 @@ def test_operators_are_the_same_at_any_blas_thread_count():
         outs.append(out.stdout.split())
     assert len(outs[0]) == 10
     assert outs[0] == outs[1]
+
+
+def test_stiffness_holds_no_node_sized_array():
+    # the operator keeps only 1-D products; a stored 256x512 matrix would hold ~14 MiB
+    import tracemalloc
+
+    g = build_polar_grid(disk(1.0), 256, 512)
+    tracemalloc.start()
+    try:
+        apply = g.stiffness
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert callable(apply)
+    assert held < 0.1 * 2**20
+
+
+@pytest.mark.parametrize("dom", [disk(1.0), annulus(0.5, 1.0)], ids=["disk", "annulus"])
+def test_stiffness_returns_a_fresh_array_and_leaves_its_input(dom):
+    # evaluate keeps the result as the gradient, so no call may share or
+    # overwrite another's output, or write into its input
+    g = build_polar_grid(dom, 6, 16)
+    U = np.random.default_rng(4).standard_normal(g.shape)
+    before = U.copy()
+    out = g.stiffness(U)
+    assert np.array_equal(U, before)
+    again = g.stiffness(U)
+    assert not np.shares_memory(out, U) and not np.shares_memory(out, again)
+    assert np.array_equal(out, again)
+    out[...] = np.nan
+    assert np.array_equal(g.stiffness(U), again)
+    ro = smooth_field(g, 2).values  # read-only: a write into it would raise
+    assert np.array_equal(g.stiffness(ro), g.stiffness(ro.copy()))
 
 
 def test_grid_is_freed_with_its_last_reference():

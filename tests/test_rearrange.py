@@ -346,17 +346,17 @@ def test_mollification_matrix_matches_dense_oracle(domain, n_r, n_a, eps):
 
 
 def test_import_does_not_load_scipy_spatial():
-    # scipy.spatial costs tens of milliseconds of start-up on every command;
-    # multiprocessing is loaded only by a sweep, which forks its refinement
+    # scipy.spatial and scipy.sparse cost milliseconds of start-up on every
+    # command; multiprocessing is loaded only by a sweep, which forks its refinement
     code = (
         "import sys, polarmin; "
-        "print('scipy.spatial' in sys.modules, 'multiprocessing' in sys.modules)"
+        "print(*(m in sys.modules for m in ('scipy.spatial', 'scipy.sparse', 'multiprocessing')))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 def test_symmetry_report_model_function():
