@@ -110,16 +110,12 @@ def _antisym_project(grid: PolarGrid, vals: np.ndarray) -> np.ndarray:
 
 def _project_feasible(params: ProblemParams, grid: PolarGrid, vals: np.ndarray) -> np.ndarray:
     mean = float(np.sum(grid.w * vals)) / grid.domain.area
-    vals, scale, p = vals - mean, 1.0, params.p
-    with np.errstate(over="ignore"):
-        total = float(np.sum(grid.w * np.abs(vals) ** p))
-    if not 0.0 < total < math.inf:  # |v|^p over- or underflowed: measure v / max|v|
-        scale = float(np.max(np.abs(vals))) or 1.0
-        vals = vals / scale
-        total = float(np.sum(grid.w * np.abs(vals) ** p))
+    vals = vals - mean
+    scale = float(np.max(np.abs(vals))) or 1.0  # so |v / scale|^p neither over- nor underflows
+    vals = vals / scale
+    nrm = float(np.sum(grid.w * np.abs(vals) ** params.p)) ** (1.0 / params.p)
     # a constant field leaves only the roundoff of its mean
-    nrm, floor = total ** (1.0 / p), 1e-12 * abs(mean) / scale * grid.domain.area ** (1.0 / p)
-    if not nrm > max(floor, 1e-300):
+    if not nrm > 1e-12 * abs(mean) / scale * grid.domain.area ** (1.0 / params.p):
         raise InfeasibleInitError("initial field vanishes after mean removal")
     return vals / nrm
 
@@ -352,8 +348,10 @@ def minimize(params: ProblemParams, grid: PolarGrid, opts: SolveOptions) -> Mini
     same values at angle 0, and the one kept has a nonnegative sin 2a
     moment.  The sign at (r_outer, 0) cannot be fixed there as well.
     """
-    starts = (_build_start(grid, opts, k) for k in range(opts.n_starts))
-    runs = [_solve_single(params, grid, u0, opts) for u0 in starts]
+    runs = []
+    for k in range(opts.n_starts):
+        u0 = _build_start(grid, opts, k)
+        runs.append(_solve_single(params, grid, u0, opts))
     conv = [r for r in runs if r.converged]
     pool = conv if conv else runs
     best = min(pool, key=lambda r: r.lam)
@@ -435,8 +433,10 @@ def certify(result: MinimizeResult, params: ProblemParams) -> CertificationRecor
     _, _, (c, d) = _duals(evaluate(params, u.grid, psi(u.values, params.theta), u.values))
     cons_c = abs(ident.c - c)
     cons_d = abs(ident.d - d)
-    half_planes = grid_half_planes(u.grid, math.gcd(8, u.grid.n_a))
-    gaps = [eval_objective(params, two_point_rearrange(u, h)) - result.lam for h in half_planes]
+    gaps = []
+    for h in grid_half_planes(u.grid, math.gcd(8, u.grid.n_a)):
+        val = eval_objective(params, two_point_rearrange(u, h))
+        gaps.append(val - result.lam)
     min_gap = min(gaps)
     max_rel = max(abs(g) for g in gaps) / max(abs(result.lam), 1e-300)
     lam_scale = max(abs(result.lam), 1e-300)
