@@ -19,7 +19,7 @@ from typing import Literal
 
 import numpy as np
 
-from .grids import Field, PolarGrid, RadialDomain, grad_sq
+from .grids import Field, PolarGrid, RadialDomain, _pow2_scale, grad_sq
 
 __all__ = [
     "FSpec",
@@ -136,7 +136,8 @@ def phi_prime(eta, theta: float):
 def lp_norm(v: Field, p: float) -> float:
     if not 1.0 < p < math.inf:
         raise ValueError("p must be finite and exceed 1")
-    return float(np.sum(v.grid.w * np.abs(v.values) ** p)) ** (1.0 / p)
+    scale = _pow2_scale(v.values)
+    return scale * float(np.sum(v.grid.w * np.abs(v.values / scale) ** p)) ** (1.0 / p)
 
 
 def _f_over_weight(params: ProblemParams, v: np.ndarray) -> np.ndarray:

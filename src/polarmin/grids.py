@@ -14,8 +14,6 @@ from functools import cached_property
 from typing import Callable, Literal
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import zpbtrs
 
 __all__ = [
     "RadialDomain",
@@ -182,72 +180,82 @@ class PolarGrid:
 
     @cached_property
     def h1_solve(self) -> Callable[[np.ndarray], tuple[np.ndarray, Callable]]:
-        """Exact solver for H = (W + A), the discrete H1 metric.
+        """Exact solver for H = (W + A), the discrete H1 metric, by fast
+        diagonalization (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).
 
         The operator commutes with rotation by one angular cell, so an
-        angular DFT splits it into one SPD pentadiagonal radial system per
-        Fourier mode, known in closed form (`_radial_bands`).  Stacked mode
-        after mode they form one banded SPD matrix, factored once by
-        LAPACK's banded Cholesky H = U^H U; a solve is one LAPACK zpbtrs
-        call on that factor.  The returned callable takes an
-        (n_nodes, k) block b and returns gram[i, j] = b_i . H^-1 b_j, taken
-        by Parseval on the spectra, and combine(coef) = H^-1 (b @ coef) for
-        a coefficient vector coef of length k, with one inverse transform.
+        angular DFT splits it into one SPD radial system per Fourier mode m,
+        T_{m mod 2} + c_m diag(a) (`_radial_pencil`).  One symmetric
+        eigendecomposition diag(a)^-1/2 T diag(a)^-1/2 = Q L Q^T per parity
+        gives, with V = diag(a)^-1/2 Q, every mode's inverse in closed form:
+        H_m^-1 = V (L + c_m)^-1 V^T.  A solve is the angular rfft, then per
+        parity two matrix products and a diagonal scaling.  The returned
+        callable takes an (n_nodes, k) block b and returns gram[i, j] =
+        b_i . H^-1 b_j, taken by Parseval on the spectra, and combine(coef) =
+        H^-1 (b @ coef) for a coefficient vector coef of length k, with one
+        inverse transform.
         """
-        a0, a1, a2 = (band.T.ravel() for band in _radial_bands(self))
-        # upper band storage; a1, a2 vanish past each mode's last ring, so
-        # no entry couples two modes.  Complex, so the spectrum goes through
-        # LAPACK as it is: k columns, not the 2k of its real view.  Fortran
-        # order, so LAPACK factors it in place.
-        ab = np.zeros((3, a0.size), dtype=complex, order="F")
-        ab[2], ab[1, 1:], ab[0, 2:] = a0, a1[:-1], a2[:-2]
-        try:
-            factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True)
-        except np.linalg.LinAlgError:
-            raise ValueError("H1 metric is not positive definite") from None
+        T, a = _radial_pencil(self)
         n_r, n_a = self.n_r, self.n_a
-        n_m = n_a // 2 + 1
+        n_e = n_a // 4 + 1  # the even modes 0, 2, ..., n_a/2; n_a/4 odd ones follow
+        order = np.concatenate([np.arange(0, n_a // 2 + 1, 2), np.arange(1, n_a // 2, 2)])
+        # a spectrum is held as rows (mode, real or imaginary part) of radial
+        # profiles, the modes even-first, so each parity's rows are one block
+        rows = (2 * order[:, None] + np.arange(2)).ravel()
+        unorder = np.argsort(order)
+        c = 4.0 * np.sin(np.pi * order / n_a) ** 2
+        s = 1.0 / np.sqrt(a)
+        blocks = []
+        for par, lo, hi in ((0, 0, n_e), (1, n_e, n_a // 2 + 1)):
+            lam, Q = np.linalg.eigh(s[:, None] * T[par] * s)
+            d = c[lo:hi, None] + lam
+            if not np.all(d > 0.0):
+                raise ValueError("H1 metric is not positive definite")
+            blocks.append((slice(2 * lo, 2 * hi), s[:, None] * Q, np.repeat(1.0 / d, 2, axis=0)))
+        # Parseval: modes 0 and n_a/2 (the even block's ends) count once,
+        # every other mode twice
+        ends = [0, 1, 2 * n_e - 2, 2 * n_e - 1]
 
         def solve(b: np.ndarray) -> tuple[np.ndarray, Callable]:
             k = b.shape[1]
-            # unknown m * n_r + i, one column per input column: the Fortran
-            # order LAPACK solves in
-            spec = np.empty((k, n_m, n_r), dtype=complex)
-            np.fft.rfft(b.T.reshape(k, n_r, n_a).transpose(0, 2, 1), axis=1, out=spec)
-            # U^H U x = b; zpbtrs solves into a copy, as gram reads spec below
-            x = zpbtrs(factor, spec.reshape(k, -1).T)[0].T.reshape(k, n_m, n_r)
+            spec = np.ascontiguousarray(np.fft.rfft(b.T.reshape(k, n_r, n_a), axis=2))
+            spec = np.take(spec.view(float).transpose(0, 2, 1), rows, axis=1)
+            # each product's rows are spectrum rows, not radii: so placed,
+            # BLAS gives the same bits at any thread count
+            x = np.empty_like(spec)
+            for block, V, scale in blocks:
+                y = spec[:, block] @ V
+                y *= scale
+                np.matmul(y, V.T, out=x[:, block])
 
             def vec(z):  # each column's spectrum as one real vector
-                return z.reshape(k, -1).view(float)
+                return z.reshape(k, -1)
 
-            # Parseval: modes 0 and n_a/2 count once, every other mode twice
-            ends = slice(None, None, n_m - 1)
             gram = (2.0 * (vec(spec) @ vec(x).T) - vec(spec[:, ends]) @ vec(x[:, ends]).T) / n_a
 
             def combine(coef) -> np.ndarray:
-                y = (np.asarray(coef, dtype=float)[None] @ vec(x)).view(complex)
-                out = np.empty((n_r, n_a))
-                np.fft.irfft(y.reshape(1, n_m, n_r), n=n_a, axis=1, out=out.T[None])
-                return out.ravel()
+                y = (np.asarray(coef, dtype=float)[None] @ vec(x)).reshape(-1, 2, n_r)[unorder]
+                return np.fft.irfft((y[:, 0] + 1j * y[:, 1]).T, n=n_a, axis=1).ravel()
 
             return gram, combine
 
         return solve
 
 
-def _radial_bands(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mode radial bands of (W + A) in closed form.  Angular mode m
-    turns S^T S into 4 sin^2(pi m / n_a) and the antipode into (-1)^m, so
-    the mode-m radial matrix is diag(w_r) + K_{m mod 2} + 4 sin^2(pi m /
-    n_a) diag(w_r/(r da)^2), K being D^T W_r D with the pole coupling at sign
-    (-1)^m.  Returns the diagonal and the first and second superdiagonals,
-    each (n_r, n_a // 2 + 1), with entries past the last ring zero."""
+def _radial_pencil(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode radial matrices of (W + A) in closed form.  Angular mode m
+    turns S^T S into c_m = 4 sin^2(pi m / n_a) and the antipode into
+    (-1)^m, so the mode-m radial matrix is T[m mod 2] + c_m diag(a): T[par]
+    is diag(w_r) + D^T W_r D with the pole coupling at sign (-1)^par, a the
+    ring weight w_r/(r da)^2.  Returns T, (2, n_r, n_r), and a."""
     k0, k1, k2, pc, a = grid._products
-    m = np.arange(grid.n_a // 2 + 1)
-    sup1 = np.repeat(k1[:, None], m.size, axis=1)
-    sup1[0] += pc * (-1.0) ** m
-    diag = (grid.w[:, :1] + k0[:, None]) + a[:, None] * (4.0 * np.sin(np.pi * m / grid.n_a) ** 2)
-    return diag, sup1, np.repeat(k2[:, None], m.size, axis=1)
+    i = np.arange(grid.n_r)
+    T = np.zeros((2, grid.n_r, grid.n_r))
+    T[:, i, i] = grid.w[:, 0] + k0
+    T[:, i[:-1], i[1:]] = T[:, i[1:], i[:-1]] = k1[:-1]
+    T[:, i[:-2], i[2:]] = T[:, i[2:], i[:-2]] = k2[:-2]
+    T[:, [0, 1], [1, 0]] += np.array([[pc], [-pc]])
+    return T, a
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,6 +301,14 @@ def build_polar_grid(domain: RadialDomain, n_r: int, n_a: int) -> PolarGrid:
     for arr in (r_nodes, a_nodes, w):
         arr.setflags(write=False)
     return PolarGrid(domain=domain, n_r=n_r, n_a=n_a, r_nodes=r_nodes, a_nodes=a_nodes, w=w)
+
+
+def _pow2_scale(values: np.ndarray) -> float:
+    """The power of two 2^e with 2^(e-1) <= max|values| < 2^e (1.0 for a zero
+    array).  values / 2^e is exact, so a norm measured on it neither
+    overflows nor underflows, and a sum of squares keeps its bits."""
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    return math.ldexp(1.0, min(e, 1023))
 
 
 def integrate(f: Field) -> float:

@@ -21,6 +21,7 @@ from .grids import (
     Field,
     PolarGrid,
     _half_units,
+    _pow2_scale,
     reflect_field,
     reflection_index_map,
 )
@@ -221,7 +222,8 @@ def mollify(f: Field, eps: float) -> Field:
 
 
 def weighted_l2(grid: PolarGrid, values: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(grid.w * values**2)))
+    scale = _pow2_scale(values)
+    return scale * math.sqrt(float(np.sum(grid.w * (values / scale) ** 2)))
 
 
 @dataclass(frozen=True)

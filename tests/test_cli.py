@@ -674,3 +674,32 @@ def test_cli_sweep_theta(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == CSV_HEADER
     assert (tmp_path / "sweep_theta_manifest.json").exists()
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # importing scipy.linalg or scipy.special costs more start-up time and
+    # memory than a default sweep-theta solve, so no command may reach it
+    field = tmp_path / "field.txt"
+    field.write_text(dump_field(smooth_field(build_polar_grid(disk(1.0), 8, 16))))
+    runs = [
+        ["sweep-p", "--grid", "8x16", "--values", "2,4", "--out", str(tmp_path / "p")],
+        ["sweep-theta", "--grid", "8x16", "--values", "0.1,0.2", "--out", str(tmp_path / "theta")],
+        ["check-foliated", "--grid", "8x16", "--out", str(tmp_path / "foliated")],
+        *(["rearrange", "--in", str(field), "--op", *op]
+          for op in (["foliated"], ["two-point", "--angle", "0"], ["mollify", "--eps", "0.3"])),
+        ["eig"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "import polarmin\n"
+        "from polarmin.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) in (0, 1), argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"

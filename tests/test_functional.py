@@ -476,3 +476,13 @@ def test_energy_is_the_same_at_any_blas_thread_count():
         outs.append(out.stdout.split())
     assert len(outs[0]) == 16
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_lp_norm_does_not_depend_on_the_scale(scale):
+    # |v|^p overflows at 1e160 and underflows at 1e-170 for p = 2; the norm
+    # is measured on v divided by a power of two near max|v|
+    g = build_polar_grid(disk(1.0), 12, 24)
+    f = eigenfield(neumann_mode(1, 1), g)
+    for p in (2.0, 3.5, 32.0):
+        assert abs(lp_norm(Field(g, scale * f.values), p) - scale * lp_norm(f, p)) <= 1e-14 * scale

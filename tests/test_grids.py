@@ -297,8 +297,17 @@ def test_operators_match_the_kronecker_construction(r_inner, n_r, n_a, seed):
     # no room where the reference is zero, so those entries must be 0.0
     applied = np.stack([g.stiffness(e.reshape(g.shape)).ravel() for e in np.eye(g.n_nodes)], axis=1)
     assert np.all(np.abs(applied - ref) <= 1e-14 * np.abs(ref))
-    for band, ref_band in zip(grids._radial_bands(g), ref_bands):
-        assert band.shape == ref_band.shape == (n_r, n_a // 2 + 1)
+    # mode m's radial matrix T[m mod 2] + c_m diag(a), as the three upper
+    # bands, zero past the last ring; nothing couples rings further apart
+    T, a = grids._radial_pencil(g)
+    c = 4.0 * np.sin(np.pi * np.arange(n_a // 2 + 1) / n_a) ** 2
+    mats = T[np.arange(n_a // 2 + 1) % 2] + c[:, None, None] * np.diag(a)
+    assert np.array_equal(mats, mats.transpose(0, 2, 1))
+    assert not np.any(np.triu(mats, 3))
+    for q, ref_band in enumerate(ref_bands):
+        band = np.zeros((n_r, n_a // 2 + 1))
+        band[: n_r - q] = np.diagonal(mats, q, axis1=1, axis2=2).T
+        assert ref_band.shape == (n_r, n_a // 2 + 1)
         assert np.max(np.abs(band - ref_band)) <= 1e-14 * np.max(np.abs(ref_band))
     F = np.random.default_rng(seed).standard_normal(g.n_nodes)
     dradial, dfwd = (dc @ F).reshape(g.shape), (df @ F).reshape(g.shape)
@@ -309,16 +318,25 @@ def test_operators_match_the_kronecker_construction(r_inner, n_r, n_a, seed):
 
 def test_operators_are_the_same_at_any_blas_thread_count():
     # the 1-D products are formed elementwise, so no sum is split across
-    # BLAS threads
+    # BLAS threads.  The H1 solve runs LAPACK's eigh and BLAS's dgemm, so its
+    # gram and combine outputs are hashed too, for four right-hand sides on
+    # the default grids' ring counts: with the radii as a product's rows, one
+    # of the 128-ring combines differed between 1 and 2 threads
     code = (
         "import hashlib\n"
         "import numpy as np\n"
-        "from polarmin.grids import Field, _radial_bands, annulus, build_polar_grid, disk, grad_sq\n"
-        "for dom in (disk(1.0), annulus(0.5, 1.0)):\n"
-        "    g = build_polar_grid(dom, 96, 192)\n"
+        "from polarmin.grids import Field, annulus, build_polar_grid, disk, grad_sq\n"
+        "for dom, n_r in ((disk(1.0), 96), (annulus(0.5, 1.0), 96), (disk(1.0), 128)):\n"
+        "    g = build_polar_grid(dom, n_r, 2 * n_r)\n"
         "    f = Field(g, np.random.default_rng(3).normal(size=g.shape))\n"
-        "    for arr in (g.stiffness(f.values), *_radial_bands(g), grad_sq(f).values):\n"
+        "    h1 = hashlib.sha256()\n"
+        "    for seed in range(4):\n"
+        "        gram, combine = g.h1_solve(np.random.default_rng(seed).normal(size=(g.n_nodes, 3)))\n"
+        "        for arr in (gram, *map(combine, np.eye(3))):\n"
+        "            h1.update(arr.tobytes())\n"
+        "    for arr in (g.stiffness(f.values), grad_sq(f).values):\n"
         "        print(hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest())\n"
+        "    print(h1.hexdigest())\n"
     )
     outs = []
     for threads in ("1", "2"):
@@ -328,7 +346,7 @@ def test_operators_are_the_same_at_any_blas_thread_count():
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         outs.append(out.stdout.split())
-    assert len(outs[0]) == 10
+    assert len(outs[0]) == 9
     assert outs[0] == outs[1]
 
 
@@ -381,15 +399,15 @@ def test_grid_is_freed_with_its_last_reference():
 
 
 def test_h1_solve_rejects_indefinite_metric(monkeypatch):
-    bands = grids._radial_bands
+    products = grids.PolarGrid._products
 
     def one_negative_diagonal(grid):
-        a0, a1, a2 = bands(grid)
-        a0 = a0.copy()
-        a0[3, 2] = -1.0
-        return a0, a1, a2
+        k0, k1, k2, pc, a = products.func(grid)
+        k0 = k0.copy()
+        k0[3] = -2.0 * grid.w[3, 0]  # mode 0 then has a negative diagonal entry
+        return k0, k1, k2, pc, a
 
-    monkeypatch.setattr(grids, "_radial_bands", one_negative_diagonal)
+    monkeypatch.setattr(grids.PolarGrid, "_products", property(one_negative_diagonal))
     # LAPACK's LinAlgError is a ValueError too; the metric's own error is wanted
     with pytest.raises(ValueError, match="H1 metric is not positive definite") as exc:
         build_polar_grid(disk(1.0), 8, 16).h1_solve

@@ -187,6 +187,23 @@ def test_start_scale_does_not_matter(p, scale):
     assert abs(lam[1] - lam[0]) <= 1e-9 * lam[0]
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_extra_starts_do_not_depend_on_the_start_scale(scale):
+    # the second start adds a perturbation sized by the start's L2 norm; a
+    # norm that squared the values made it inf at 1e160 (the start was then
+    # refused as infeasible) and 0 at 1e-170 (the second start repeated the first)
+    g = build_polar_grid(disk(1.0), 12, 24)
+    params = ProblemParams(theta=0.1, p=2.0)
+    start = eigenfield(neumann_mode(1, 1), g).values
+    ref, res = (
+        minimize(params, g, SolveOptions(n_starts=2, seed=0, init=Field(g, s * start)))
+        for s in (1.0, scale)
+    )
+    assert abs(res.lam - ref.lam) <= 1e-9 * ref.lam
+    assert res.starts_agreement > 0.0
+    assert abs(res.starts_agreement - ref.starts_agreement) <= 1e-4 * ref.starts_agreement
+
+
 def test_antisymmetric_subspace():
     g = build_polar_grid(disk(1.0), 48, 96)
     params = ProblemParams(theta=0.1, p=2.0)
