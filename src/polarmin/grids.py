@@ -188,12 +188,12 @@ class PolarGrid:
         T_{m mod 2} + c_m diag(a) (`_radial_pencil`).  One symmetric
         eigendecomposition diag(a)^-1/2 T diag(a)^-1/2 = Q L Q^T per parity
         gives, with V = diag(a)^-1/2 Q, every mode's inverse in closed form:
-        H_m^-1 = V (L + c_m)^-1 V^T.  A solve is the angular rfft, then per
-        parity two matrix products and a diagonal scaling.  The returned
-        callable takes an (n_nodes, k) block b and returns gram[i, j] =
-        b_i . H^-1 b_j, taken by Parseval on the spectra, and combine(coef) =
-        H^-1 (b @ coef) for a coefficient vector coef of length k, with one
-        inverse transform.
+        H_m^-1 = V (L + c_m)^-1 V^T.  The returned callable takes an
+        (n_nodes, k) block b and returns gram[i, j] = b_i . H^-1 b_j, taken by
+        Parseval in the eigenbasis after the angular rfft and one product by
+        V per parity, and combine(coef) = H^-1 (b @ coef) for a coefficient
+        vector coef of length k, which maps only that combination back: one
+        product by V^T per parity and one inverse transform.
         """
         T, a = _radial_pencil(self)
         n_r, n_a = self.n_r, self.n_a
@@ -202,16 +202,18 @@ class PolarGrid:
         # a spectrum is held as rows (mode, real or imaginary part) of radial
         # profiles, the modes even-first, so each parity's rows are one block
         rows = (2 * order[:, None] + np.arange(2)).ravel()
-        unorder = np.argsort(order)
+        unrows = np.argsort(rows)
         c = 4.0 * np.sin(np.pi * order / n_a) ** 2
         s = 1.0 / np.sqrt(a)
-        blocks = []
+        blocks, d = [], []
         for par, lo, hi in ((0, 0, n_e), (1, n_e, n_a // 2 + 1)):
             lam, Q = np.linalg.eigh(s[:, None] * T[par] * s)
-            d = c[lo:hi, None] + lam
-            if not np.all(d > 0.0):
-                raise ValueError("H1 metric is not positive definite")
-            blocks.append((slice(2 * lo, 2 * hi), s[:, None] * Q, np.repeat(1.0 / d, 2, axis=0)))
+            d.append(c[lo:hi, None] + lam)
+            blocks.append((slice(2 * lo, 2 * hi), s[:, None] * Q))
+        d = np.concatenate(d)
+        if not np.all(d > 0.0):
+            raise ValueError("H1 metric is not positive definite")
+        scale = np.repeat(1.0 / d, 2, axis=0)  # H^-1 in each row's eigenbasis
         # Parseval: modes 0 and n_a/2 (the even block's ends) count once,
         # every other mode twice
         ends = [0, 1, 2 * n_e - 2, 2 * n_e - 1]
@@ -219,23 +221,29 @@ class PolarGrid:
         def solve(b: np.ndarray) -> tuple[np.ndarray, Callable]:
             k = b.shape[1]
             spec = np.ascontiguousarray(np.fft.rfft(b.T.reshape(k, n_r, n_a), axis=2))
-            spec = np.take(spec.view(float).transpose(0, 2, 1), rows, axis=1)
-            # each product's rows are spectrum rows, not radii: so placed,
-            # BLAS gives the same bits at any thread count
-            x = np.empty_like(spec)
-            for block, V, scale in blocks:
-                y = spec[:, block] @ V
-                y *= scale
-                np.matmul(y, V.T, out=x[:, block])
+            spec = spec.view(float)[..., rows].transpose(0, 2, 1).copy()
+            # y = V^T b and z = (L + c_m)^-1 y, so b_i . H^-1 b_j = y_i . z_j,
+            # and only the combination that combine asks for is mapped back.
+            # A product's rows are spectrum rows, not radii: so placed,
+            # OpenBLAS gave the same bits at 1 and 2 threads on the default
+            # grids, and with the radii as rows it did not
+            y = np.empty_like(spec)
+            for block, V in blocks:
+                np.matmul(spec[:, block], V, out=y[:, block])
+            z = y * scale
 
-            def vec(z):  # each column's spectrum as one real vector
-                return z.reshape(k, -1)
+            def vec(u):  # each column's spectrum as one real vector
+                return u.reshape(k, -1)
 
-            gram = (2.0 * (vec(spec) @ vec(x).T) - vec(spec[:, ends]) @ vec(x[:, ends]).T) / n_a
+            gram = (2.0 * (vec(y) @ vec(z).T) - vec(y[:, ends]) @ vec(z[:, ends]).T) / n_a
 
             def combine(coef) -> np.ndarray:
-                y = (np.asarray(coef, dtype=float)[None] @ vec(x)).reshape(-1, 2, n_r)[unorder]
-                return np.fft.irfft((y[:, 0] + 1j * y[:, 1]).T, n=n_a, axis=1).ravel()
+                zc = (np.asarray(coef, dtype=float)[None] @ vec(z)).reshape(-1, n_r)
+                x = np.empty_like(zc)
+                for block, V in blocks:
+                    np.matmul(zc[block], V.T, out=x[block])
+                x = x[unrows].T.copy().view(complex)
+                return np.fft.irfft(x, n=n_a, axis=1).ravel()
 
             return gram, combine
 
