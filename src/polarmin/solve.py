@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Literal
 
 import numpy as np
+import numpy.random  # numpy imports it on first use; imported here, forked sweep processes inherit it
 
 from .functional import (
     Multipliers,
