@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Literal
 
 import numpy as np
-import numpy.fft  # numpy imports it on first use; imported here, forked sweep processes inherit it
+import numpy.fft  # else imported on first use, once in each forked sweep process
 
 __all__ = [
     "RadialDomain",

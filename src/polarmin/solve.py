@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Literal
 
 import numpy as np
-import numpy.random  # numpy imports it on first use; imported here, forked sweep processes inherit it
+import numpy.random  # else imported on first use, once in each forked sweep process
 
 from .functional import (
     Multipliers,
