@@ -313,10 +313,11 @@ def build_polar_grid(domain: RadialDomain, n_r: int, n_a: int) -> PolarGrid:
 
 
 def _pow2_scale(values: np.ndarray) -> float:
-    """The power of two 2^e with 2^(e-1) <= max|values| < 2^e (1.0 for a zero
-    array).  values / 2^e is exact, so a norm measured on it neither
-    overflows nor underflows, and a sum of squares keeps its bits."""
-    e = math.frexp(float(np.max(np.abs(values))))[1]
+    """The power of two 2^e with 2^(e-1) <= max|values| < 2^e, at most
+    2^1023 (1.0 for a zero array).  values / 2^e is exact, so a norm
+    measured on it neither overflows nor underflows, and a sum of squares
+    keeps its bits."""
+    e = math.frexp(max(float(values.max()), -float(values.min())))[1]
     return math.ldexp(1.0, min(e, 1023))
 
 

@@ -402,8 +402,7 @@ def test_h1_solve_rejects_indefinite_metric(monkeypatch):
     products = grids.PolarGrid._products
 
     def one_negative_diagonal(grid):
-        k0, k1, k2, pc, a = products.func(grid)
-        k0 = k0.copy()
+        k0, k1, k2, pc, a = products.func(grid)  # fresh arrays
         k0[3] = -2.0 * grid.w[3, 0]  # mode 0 then has a negative diagonal entry
         return k0, k1, k2, pc, a
 
