@@ -195,6 +195,12 @@ class PolarGrid:
         V per parity, and combine(coef) = H^-1 (b @ coef) for a coefficient
         vector coef of length k, which maps only that combination back: one
         product by V^T per parity and one inverse transform.
+
+        The solver keeps one (2, k, n_a + 2, n_r) work array per column count
+        k (1.6 MB at 128x256 for k = 3), into which the forward path writes the
+        spectrum, y and z: a warm call allocates no spectrum-sized array.
+        combine reads z there, so it raises RuntimeError once the solver has
+        been called again; what it returns is a fresh array.
         """
         T, a = _radial_pencil(self)
         n_r, n_a = self.n_r, self.n_a
@@ -219,19 +225,27 @@ class PolarGrid:
         # every other mode twice
         ends = [0, 1, 2 * n_e - 2, 2 * n_e - 1]
 
+        works, calls = {}, 0  # one (2, k, n_a + 2, n_r) work array per column count k
+
         def solve(b: np.ndarray) -> tuple[np.ndarray, Callable]:
+            nonlocal calls
             k = b.shape[1]
-            spec = np.ascontiguousarray(np.fft.rfft(b.T.reshape(k, n_r, n_a), axis=2))
-            spec = spec.view(float)[..., rows].transpose(0, 2, 1).copy()
+            if k not in works:
+                works[k] = np.empty((2, k, n_a + 2, n_r))
+            spec, y = works[k]  # spec, later z, and y
+            call = calls = calls + 1
+            raw = y.reshape(k, n_r, n_a + 2)  # the rfft's layout, gathered even-first
+            np.fft.rfft(b.T.reshape(k, n_r, n_a), axis=2, out=spec.reshape(raw.shape).view(complex))
+            np.take(spec.reshape(raw.shape), rows, axis=2, out=raw, mode="wrap")  # "raise" buffers
+            np.copyto(spec, raw.transpose(0, 2, 1))
             # y = V^T b and z = (L + c_m)^-1 y, so b_i . H^-1 b_j = y_i . z_j,
             # and only the combination that combine asks for is mapped back.
             # A product's rows are spectrum rows, not radii: so placed,
             # OpenBLAS gave the same bits at 1 and 2 threads on the default
             # grids, and with the radii as rows it did not
-            y = np.empty_like(spec)
             for block, V in blocks:
                 np.matmul(spec[:, block], V, out=y[:, block])
-            z = y * scale
+            z = np.multiply(y, scale, out=spec)
 
             def vec(u):  # each column's spectrum as one real vector
                 return u.reshape(k, -1)
@@ -239,6 +253,8 @@ class PolarGrid:
             gram = (2.0 * (vec(y) @ vec(z).T) - vec(y[:, ends]) @ vec(z[:, ends]).T) / n_a
 
             def combine(coef) -> np.ndarray:
+                if calls != call:
+                    raise RuntimeError("combine is valid only until its solver's next call")
                 zc = (np.asarray(coef, dtype=float)[None] @ vec(z)).reshape(-1, n_r)
                 x = np.empty_like(zc)
                 for block, V in blocks:

@@ -321,12 +321,15 @@ def test_operators_are_the_same_at_any_blas_thread_count():
     # BLAS threads.  The H1 solve runs LAPACK's eigh and BLAS's dgemm, so its
     # gram and combine outputs are hashed too, for four right-hand sides on
     # the default grids' ring counts: with the radii as a product's rows, one
-    # of the 128-ring combines differed between 1 and 2 threads
+    # of the 128-ring combines differed between 1 and 2 threads.  The 192-
+    # and 256-ring disks are the default sweeps' refinement grids, which set
+    # grid_tol in every sweep manifest
     code = (
         "import hashlib\n"
         "import numpy as np\n"
         "from polarmin.grids import Field, annulus, build_polar_grid, disk, grad_sq\n"
-        "for dom, n_r in ((disk(1.0), 96), (annulus(0.5, 1.0), 96), (disk(1.0), 128)):\n"
+        "for dom, n_r in ((disk(1.0), 96), (annulus(0.5, 1.0), 96), (disk(1.0), 128),\n"
+        "                 (disk(1.0), 192), (disk(1.0), 256)):\n"
         "    g = build_polar_grid(dom, n_r, 2 * n_r)\n"
         "    f = Field(g, np.random.default_rng(3).normal(size=g.shape))\n"
         "    h1 = hashlib.sha256()\n"
@@ -346,7 +349,7 @@ def test_operators_are_the_same_at_any_blas_thread_count():
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         outs.append(out.stdout.split())
-    assert len(outs[0]) == 9
+    assert len(outs[0]) == 15
     assert outs[0] == outs[1]
 
 
@@ -363,6 +366,52 @@ def test_stiffness_holds_no_node_sized_array():
         tracemalloc.stop()
     assert callable(apply)
     assert held < 0.1 * 2**20
+
+
+def test_warm_h1_solve_allocates_no_spectrum_array():
+    # the forward path and the Gram write into the solver's work array; the
+    # rfft output, the even-first gather, y and z each took a fresh one
+    import tracemalloc
+
+    g = build_polar_grid(disk(1.0), 128, 256)
+    b = np.random.default_rng(5).standard_normal((g.n_nodes, 3))
+    g.h1_solve(b)  # the first call of a column count makes its work array
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g.h1_solve(b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (g.n_a + 2) * g.n_r * 8
+
+
+@pytest.mark.parametrize("dom", [disk(1.0), annulus(0.5, 1.0)], ids=["disk", "annulus"])
+def test_h1_solve_reuses_its_work_array_without_leaking(dom):
+    # calls with other column counts and other right-hand sides in between
+    # leave no trace in a later solve's gram or combine
+    rng = np.random.default_rng(6)
+    g = build_polar_grid(dom, 12, 24)
+    b1, b2, b3 = (rng.standard_normal((g.n_nodes, k)) for k in (3, 1, 3))
+    for b in (b1, b2, b3):
+        g.h1_solve(b)[1](np.ones(b.shape[1]))
+    gram, combine = g.h1_solve(b1)
+    fresh_gram, fresh_combine = build_polar_grid(dom, 12, 24).h1_solve(b1)
+    assert np.array_equal(gram, fresh_gram)
+    coef = (1.0, -0.3, 2.5)
+    assert np.array_equal(combine(coef), fresh_combine(coef))
+
+
+def test_stale_combine_raises():
+    # combine reads z from the work array the next solve overwrites
+    g = build_polar_grid(disk(1.0), 6, 16)
+    b = np.random.default_rng(7).standard_normal((g.n_nodes, 3))
+    _, first = g.h1_solve(b)
+    _, second = g.h1_solve(b[:, :1])
+    with pytest.raises(RuntimeError, match="next call"):
+        first(np.ones(3))
+    second(np.ones(1))
 
 
 @pytest.mark.parametrize("dom", [disk(1.0), annulus(0.5, 1.0)], ids=["disk", "annulus"])
