@@ -97,10 +97,11 @@ def two_point_rearrange(f: Field, h: HalfPlane) -> Field:
 
 def check_H_order(f: Field, h: HalfPlane, tol: float = 1e-12) -> HOrder:
     """Classify f against its reflection: IS_UH when f >= sigma_H f on H
-    (within tol), IS_SIGMA_UH for the reverse order, NEITHER otherwise."""
+    (within tol * max|f|), IS_SIGMA_UH for the reverse, NEITHER otherwise."""
     grid = f.grid
     idx = reflection_index_map(grid, h.normal_angle)
     diff = (f.values - f.values[:, idx])[:, _inside(grid, h)]
+    tol *= float(np.max(np.abs(f.values)))
     if np.all(diff >= -tol):
         return HOrder.IS_UH
     if np.all(diff <= tol):

@@ -206,15 +206,20 @@ def test_criterion_5_foliated_matrix(domname, case):
     # falls between grid angles still measures a defect of order the angular
     # spacing; improvement is meaningful only above that resolution
     improving = d_f < max(d_c, fine.delta_a)
-    ok = res_c.converged and res_f.converged and d_c <= 5e-2 and improving
+    converged = res_c.converged and res_f.converged
+    # every grid half-plane orders each minimizer (certify needs convergence)
+    orders = [certify(r, params).order_violation for r in (res_c, res_f)] if converged else [math.inf]
+    ok = converged and d_c <= 5e-2 and improving and max(orders) <= 64 * math.ulp(1.0)
     report(
         f"5 foliated [{domname} theta={theta} p={p} F={f_spec.kind}]",
         ok,
-        f"defect_96x192={d_c:.2e} defect_192x384={d_f:.2e} lam={res_c.lam:.5f}",
+        f"defect_96x192={d_c:.2e} defect_192x384={d_f:.2e} lam={res_c.lam:.5f} "
+        f"order_violation={orders}",
     )
     assert res_c.converged and res_f.converged
     assert d_c <= 5e-2
     assert improving
+    assert max(orders) <= 64 * math.ulp(1.0)
 
 
 # --- criterion 6: symmetry breaking -------------------------------------------

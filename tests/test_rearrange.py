@@ -121,7 +121,9 @@ def test_check_h_order_cosine():
     # orders against the off-axis half-planes and against sin pairings
     c2 = np.broadcast_to(np.cos(2 * g.a_nodes), g.shape)
     assert check_H_order(Field(g, c2), h) == HOrder.IS_UH
-    assert check_H_order(Field(g, c2), grid_half_planes(g)[0]) == HOrder.NEITHER
+    # tol is relative to max|f|, so the verdict does not depend on the scale
+    for scale in (1.0, 1e-9, 1e-13):
+        assert check_H_order(Field(g, scale * c2), grid_half_planes(g)[0]) == HOrder.NEITHER
     s2 = np.broadcast_to(np.sin(2 * g.a_nodes), g.shape)
     assert check_H_order(Field(g, s2), h) == HOrder.NEITHER
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -328,8 +329,47 @@ def test_certify_converged_run():
     assert record.mean_violation <= 1e-10
     assert record.norm_violation <= 1e-10
     assert record.consistency_d <= 1e-3 * abs(res.mult.d)
-    assert record.rearrange_min_gap >= -1e-2 * abs(res.lam)
-    assert record.rearrange_max_rel_dev <= 1e-2
+    assert record.order_violation <= 64 * math.ulp(1.0)
+
+
+@pytest.fixture(scope="module")
+def certified_16x32():
+    g = build_polar_grid(disk(1.0), 16, 32)
+    params = ProblemParams(theta=0.1, p=2.0)
+    res = minimize(params, g, SolveOptions(n_starts=1, seed=0))
+    assert certify(res, params).passed
+    return res, params
+
+
+def test_order_certificate_separates_foliated_fields(certified_16x32):
+    res, params = certified_16x32
+    g = res.u.grid
+    r, a = g.r_nodes[:, None], g.a_nodes[None, :]
+    # axis between grid angles, so no node pair is tied across it
+    fol = r * np.cos(a - 0.3 * g.delta_a) + r**2
+    record = certify(replace(res, u=Field(g, fol)), params)
+    assert record.order_violation <= 64 * math.ulp(1.0)
+    two_bump = np.broadcast_to(np.cos(2 * a), g.shape).copy()
+    assert certify(replace(res, u=Field(g, two_bump)), params).order_violation > 0.1
+    swapped = fol.copy()
+    i = g.n_r // 2
+    swapped[i, [0, g.n_a // 4]] = swapped[i, [g.n_a // 4, 0]]
+    assert certify(replace(res, u=Field(g, swapped)), params).order_violation > 0.0
+
+
+def test_certify_fails_a_non_foliated_field(certified_16x32):
+    res, params = certified_16x32
+    g = res.u.grid
+    # two neighbors swapped on one ring: still feasible and near the duals,
+    # so only the order fails
+    swapped = res.u.values.copy()
+    i = g.n_r // 2
+    swapped[i, [1, 2]] = swapped[i, [2, 1]]
+    record = certify(replace(res, u=Field(g, swapped)), params)
+    assert max(record.mean_violation, record.norm_violation) <= 1e-8
+    assert max(record.consistency_c, record.consistency_d) <= 1e-2 * abs(res.mult.d)
+    assert record.order_violation > 0.0
+    assert not record.passed
 
 
 def test_certify_rejects_unconverged(monkeypatch):
