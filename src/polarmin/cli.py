@@ -9,10 +9,10 @@ manifest carrying the full sweep specification and all derived values
 except wall times, so reruns with the same seed are byte-identical.
 
 A row warm-starts from its predecessor on the same grid, so each grid's rows
-run in sequence.  A sweep forks one child for the refinement solve behind its
-grid_tol and one for each grid's rows but the last grid's, which it runs
-itself: two children for the default sweep-p, one for a one-grid sweep such
-as sweep-theta.  Sweeps therefore need the "fork" start method.
+run in sequence.  A sweep runs the last grid's rows itself and deals the other
+grids' rows, then the refinement solve behind its grid_tol, over forked
+children, one per spare CPU: on 2 CPUs the default sweep-p forks one, on 3 or
+more two, and a one-grid sweep such as sweep-theta one.  Sweeps need "fork".
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import sys
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cache, partial
 from itertools import groupby
 from pathlib import Path
 
@@ -251,12 +252,31 @@ def _estimate_grid_tol(fine_lam, mid: SweepRow) -> float:
     return max(abs(fine_lam() - mid.lam), 1e-9)
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _attempt(job):
+    """job()'s value, or the exception it raised."""
+    try:
+        return job()
+    except Exception as exc:
+        return exc
+
+
+def _value(out):
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def _run_rows(spec: SweepSpec, values: list, run_segment) -> tuple[list, dict, float]:
     """Run the rows of values in this order and the refinement of the middle
     value.  Each grid segment (a maximal run of values on one grid, which no
-    warm start crosses) is run_segment(spec, segment) -> (rows, extras); all
-    but the last, and the refinement, run in forked children.  Errors surface
-    as a sequential loop raises them.  Returns rows, extras and grid_tol."""
+    warm start crosses) is run_segment(spec, segment) -> (rows, extras).  The
+    parent runs the last; the others, then the refinement, are dealt round-robin
+    over one forked child per spare CPU (at least one), which runs its share in
+    order.  Errors surface as a sequential loop raises them."""
     mid = spec.values[len(spec.values) // 2]
     segments = [list(seg) for _, seg in groupby(values, key=spec.grid_for)]
 
@@ -265,21 +285,19 @@ def _run_rows(spec: SweepSpec, values: list, run_segment) -> tuple[list, dict, f
         fine_grid = build_polar_grid(spec.domain, 2 * n_r, 2 * n_a)
         return minimize(spec.params_at(mid), fine_grid, SolveOptions(seed=spec.seed)).lam
 
+    jobs = [partial(run_segment, spec, seg) for seg in segments[:-1]] + [refine]
+    n = min(len(jobs), max(1, _usable_cpus() - 1))
     with ExitStack() as stack:
-        fine_lam = stack.enter_context(_in_child(refine))
-        waits = [stack.enter_context(_in_child(lambda seg=seg: run_segment(spec, seg)))
-                 for seg in segments[:-1]]
-        try:
-            last = run_segment(spec, segments[-1])
-        except Exception:
-            for wait in waits:
-                wait()
-            raise
-        outs = [wait() for wait in waits] + [last]
+        waits = [stack.enter_context(_in_child(lambda i=i: [_attempt(job) for job in jobs[i::n]]))
+                 for i in range(n)]
+        last = _attempt(partial(run_segment, spec, segments[-1]))
+        share = cache(lambda i: waits[i]())  # child i's outcomes, waited for on first use
+        outs = [_value(share(j % n)[j // n]) for j in range(len(jobs) - 1)] + [_value(last)]
         rows = [row for seg_rows, _ in outs for row in seg_rows]
         extras = {k: v for _, seg_extras in outs for k, v in seg_extras.items()}
-        grid_tol = _estimate_grid_tol(fine_lam, next(r for r in rows if r.value == mid))
-    return rows, extras, grid_tol
+        mid_row = next(r for r in rows if r.value == mid)
+        fine = (len(jobs) - 1) % n  # the child whose share ends with the refinement
+        return rows, extras, _estimate_grid_tol(lambda: _value(share(fine)[-1]), mid_row)
 
 
 def _write_outputs(spec: SweepSpec, name: str, rows: list, manifest_extra: dict) -> None:

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Literal
 
 import numpy as np
-import numpy.random  # else imported on first use, once in each forked sweep process
 
 from .functional import (
     Multipliers,
@@ -146,7 +145,8 @@ def _random_smooth_values(grid: PolarGrid, rng: np.random.Generator) -> np.ndarr
 
 
 def _build_start(grid, opts, k: int) -> np.ndarray:
-    rng = np.random.default_rng([opts.seed, k])
+    # numpy.random loads on first use: only where a start draws from it
+    rng = np.random.default_rng([opts.seed, k]) if k > 0 or opts.init == "random_smooth" else None
     if isinstance(opts.init, Field):
         if opts.init.grid.key() != grid.key():
             raise ValueError("provided start field lives on a different grid")

@@ -496,6 +496,25 @@ def test_sweep_leaves_no_child_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_one_child_sweep_leaves_no_child_process(monkeypatch):
+    # on 2 CPUs one child runs the first grid segment and then the refinement
+    from polarmin import cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    children = count_children(monkeypatch)
+    run_sweep_p(two_grid_p_spec(monkeypatch))
+    assert len(children) == 1
+    assert multiprocessing.active_children() == []
+
+    def reject(params, res):
+        raise RuntimeError("row validation failed: rejected by the test")
+
+    monkeypatch.setattr(cli, "_validate_result", reject)
+    with pytest.raises(RuntimeError, match="rejected by the test"):
+        run_sweep_p(two_grid_p_spec(monkeypatch))
+    assert multiprocessing.active_children() == []
+
+
 def test_refinement_failure_surfaces_in_the_parent(monkeypatch):
     from polarmin import cli
 
@@ -536,8 +555,21 @@ def test_refinement_failure_surfaces_in_the_parent(monkeypatch):
          "cli.SweepSpec.grid_for = lambda self, v: (16, 32) if v <= 8.0 else (24, 48)\n"
          "cli.run_sweep_p(cli.SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0),\n"
          "                              'p', (2.0, 4.0, 16.0), None))\n"),
+        # on 2 CPUs one child runs the first grid segment, then stalls on
+        # the refinement's doubled grid
+        ("(n_r, n_a) == (32, 64)",
+         "cli._usable_cpus = lambda: 2\n"
+         "cli.SweepSpec.grid_for = lambda self, v: (16, 32) if v <= 8.0 else (24, 48)\n"
+         "cli.run_sweep_p(cli.SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0),\n"
+         "                              'p', (2.0, 4.0, 16.0), None))\n"),
+        # the same child stalls on its first job, the segment's grid
+        ("(n_r, n_a) == (16, 32)",
+         "cli._usable_cpus = lambda: 2\n"
+         "cli.SweepSpec.grid_for = lambda self, v: (16, 32) if v <= 8.0 else (24, 48)\n"
+         "cli.run_sweep_p(cli.SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0),\n"
+         "                              'p', (2.0, 4.0, 16.0), None))\n"),
     ],
-    ids=["refinement", "segment"],
+    ids=["refinement", "segment", "one-child-refinement", "one-child-segment"],
 )
 def test_forked_child_dies_with_a_killed_sweep(tmp_path, stalls, sweep):
     # a sweep killed by SIGKILL runs no cleanup; its forked children must
@@ -615,6 +647,56 @@ def test_grid_segments_give_the_in_process_outputs(tmp_path, monkeypatch):
     assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
 
 
+def count_children(monkeypatch):
+    """Wrap cli._in_child; the returned list gains one entry per fork."""
+    from polarmin import cli
+
+    entries, in_child = [], cli._in_child
+
+    def counted(fn):
+        entries.append(fn)
+        return in_child(fn)
+
+    monkeypatch.setattr(cli, "_in_child", counted)
+    return entries
+
+
+@pytest.mark.parametrize("cpus, children", [(1, [1, 1, 1]), (2, [1, 1, 1]), (3, [2, 2, 1]),
+                                             (8, [2, 3, 1])])
+def test_sweeps_fork_at_most_one_child_per_spare_cpu(tmp_path, monkeypatch, cpus, children):
+    # forked jobs: the two-grid p sweep's first segment and refinement; the
+    # three-grid p sweep's first two segments and refinement (on 3 CPUs the
+    # refinement follows p = 2 in the first child); a theta sweep's
+    # refinement.  Any layout writes the in-process manifests.
+    from polarmin import cli
+
+    grids = {2.0: (12, 24), 4.0: (16, 32), 16.0: (24, 48)}
+
+    def sweeps(out):
+        yield run_sweep_p(two_grid_p_spec(monkeypatch, out / "two"))
+        with monkeypatch.context() as m:
+            m.setattr(SweepSpec, "grid_for", lambda self, v: grids[v])
+            yield run_sweep_p(SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0), "p",
+                                        (2.0, 4.0, 16.0), None, out_dir=str(out / "three")))
+        yield run_sweep_theta(replace(theta_spec_24x48(), out_dir=str(out / "theta")))
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_in_child", inline)
+        list(sweeps(tmp_path / "inline"))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    entries = count_children(monkeypatch)
+    forked = []
+    for _ in sweeps(tmp_path / "forked"):
+        forked.append(len(entries))
+        entries.clear()
+    assert forked == children
+    assert multiprocessing.active_children() == []
+    for name in ("two/sweep_p_manifest.json", "three/sweep_p_manifest.json",
+                 "theta/sweep_theta_manifest.json"):
+        want = (tmp_path / "inline" / name).read_bytes()
+        assert (tmp_path / "forked" / name).read_bytes() == want
+
+
 def test_each_grid_segment_builds_its_grid_once(monkeypatch):
     # a segment's rows share one grid: the two segments and the refinement
     # build three grids between them
@@ -651,6 +733,51 @@ def test_earliest_failing_row_wins_across_grid_segments(monkeypatch, rejected, r
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [2, 3], ids=["one-child", "two-children"])
+@pytest.mark.parametrize("rejected, raised", [((2.0, 16.0), 2.0), ((16.0,), 16.0), ((4.0,), 4.0)])
+def test_earliest_failing_row_wins_in_either_layout(monkeypatch, cpus, rejected, raised):
+    # one child runs p = 2 and 4 and then the refinement, or two children
+    # run the segment and the refinement; p = 16 runs in the parent
+    from polarmin import cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    reject_rows(monkeypatch, rejected)
+    with pytest.raises(RuntimeError, match=f"p={raised} rejected"):
+        run_sweep_p(two_grid_p_spec(monkeypatch))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+@pytest.mark.parametrize("rejected, raised", [((4.0, 8.0), 4.0), ((8.0, 16.0), 8.0), ((2.0, 4.0), 2.0)])
+def test_earliest_failing_row_wins_across_dealt_segments(monkeypatch, cpus, rejected, raised):
+    # four grid segments: p = 2, 4 and 8 and the refinement are dealt over
+    # one, two or four children (on 3 CPUs, p = 2 and 8 share one child and
+    # p = 4 and the refinement the other); p = 16 runs in the parent
+    from polarmin import cli
+
+    grids = {2.0: (12, 24), 4.0: (16, 32), 8.0: (20, 40), 16.0: (24, 48)}
+    monkeypatch.setattr(SweepSpec, "grid_for", lambda self, v: grids[v])
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    reject_rows(monkeypatch, rejected)
+    spec = SweepSpec(ProblemParams(theta=0.1, p=2.0), disk(1.0), "p", (2.0, 4.0, 8.0, 16.0), None)
+    with pytest.raises(RuntimeError, match=f"p={raised} rejected"):
+        run_sweep_p(spec)
+    assert multiprocessing.active_children() == []
+
+
+def reject_rows(monkeypatch, rejected):
+    from polarmin import cli
+
+    validate = cli._validate_result
+
+    def reject(params, res):
+        if params.p in rejected:
+            raise RuntimeError(f"row validation failed: p={params.p} rejected by the test")
+        validate(params, res)
+
+    monkeypatch.setattr(cli, "_validate_result", reject)
+
+
 def test_check_foliated_writes_field_dump(tmp_path):
     params = ProblemParams(theta=0.1, p=2.0)
     out = run_check_foliated(params, disk(1.0), (32, 64), n_starts=1, seed=0, out_dir=str(tmp_path))
@@ -678,7 +805,8 @@ def test_cli_sweep_theta(tmp_path, capsys):
 
 def test_no_command_loads_scipy(tmp_path):
     # importing scipy.linalg or scipy.special costs more start-up time and
-    # memory than a default sweep-theta solve, so no command may reach it
+    # memory than a default sweep-theta solve, so no command may reach it;
+    # nor numpy.random, which only a start that draws from it needs
     field = tmp_path / "field.txt"
     field.write_text(dump_field(smooth_field(build_polar_grid(disk(1.0), 8, 16))))
     runs = [
@@ -697,9 +825,44 @@ def test_no_command_loads_scipy(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) in (0, 1), argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy.random' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
+
+
+def test_only_a_drawing_start_loads_numpy_random(tmp_path):
+    # a sweep's forked jobs run one-start solves, as the parent's rows do:
+    # run in-process, the whole sweep loads no numpy.random.  A second start
+    # draws from it, and loading it on first use leaves the outputs as they
+    # are when it is loaded up front.
+    code = (
+        "import contextlib, io, sys\n"
+        "from polarmin import cli\n"
+        "if sys.argv[1] == 'preload':\n"
+        "    import numpy.random\n"
+        "@contextlib.contextmanager\n"
+        "def inline(fn):\n"
+        "    out = fn()\n"
+        "    yield lambda: out\n"
+        "cli._in_child = inline\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(sys.argv[2:]) in (0, 1)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
+
+    def run(*argv):
+        out = subprocess.run([sys.executable, "-c", code, *argv],
+                             capture_output=True, text=True, check=True, env=env)
+        return out.stdout.strip()
+
+    assert run("lazy", "sweep-p", "--grid", "8x16", "--values", "2,4,16") == "False"
+    foliated = ["check-foliated", "--grid", "16x32", "--starts", "2"]
+    assert run("lazy", *foliated, "--out", str(tmp_path / "lazy")) == "True"
+    assert run("preload", *foliated, "--out", str(tmp_path / "preload")) == "True"
+    for name in ("check_foliated.json", "minimizer.txt"):
+        assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "preload" / name).read_bytes()

@@ -350,16 +350,18 @@ def test_mollification_matrix_matches_dense_oracle(domain, n_r, n_a, eps):
 def test_import_does_not_load_scipy_spatial():
     # no scipy module at all: scipy.linalg or scipy.special alone costs more
     # start-up time than a default sweep-theta solve; multiprocessing is
-    # loaded only by a sweep, which forks its refinement
+    # loaded only by a sweep, which forks its refinement, and numpy.random
+    # (about 6 MiB resident) only by a start that draws from it
     code = (
         "import sys, polarmin; "
-        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules), 'multiprocessing' in sys.modules)"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules), 'multiprocessing' in sys.modules,"
+        " 'numpy.random' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(polarmin.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 def test_weighted_l2_keeps_its_bits_in_range_and_scales_out_of_it():

@@ -82,6 +82,30 @@ def test_minimize_random_start_same_minimum():
     assert b.starts_agreement <= 1e-3
 
 
+@pytest.mark.parametrize("init", ["eigenmode", "field", "random_smooth"])
+def test_build_start_draws_as_a_per_start_generator(init):
+    # each start k draws from its own generator seeded [seed, k], which a
+    # random_smooth start k > 0 draws from twice and keeps the second field
+    from polarmin.rearrange import weighted_l2
+    from polarmin.solve import _build_start, _eigenmode_values, _random_smooth_values
+
+    g = build_polar_grid(disk(1.0), 12, 24)
+    field = Field(g, smooth_field(g).values)
+    opts = SolveOptions(n_starts=3, seed=7, init=field if init == "field" else init)
+    for k in range(3):
+        rng = np.random.default_rng([7, k])
+        if init == "random_smooth":
+            want = _random_smooth_values(g, rng)
+            if k > 0:
+                want = _random_smooth_values(g, rng)
+        else:
+            want = field.values.copy() if init == "field" else _eigenmode_values(g)
+            if k > 0:
+                scale = weighted_l2(g, want) / math.sqrt(g.domain.area)
+                want = want + 0.5 * scale * _random_smooth_values(g, rng)
+        assert np.array_equal(_build_start(g, opts, k), want)
+
+
 def test_gauge_invariance_under_pre_rotation():
     g = build_polar_grid(disk(1.0), 48, 96)
     params = ProblemParams(theta=0.1, p=2.0)
